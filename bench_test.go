@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"equitruss"
-	"equitruss/internal/cc"
 	"equitruss/internal/concur"
 	"equitruss/internal/core"
 	"equitruss/internal/ds"
@@ -72,7 +71,7 @@ func benchTau(b *testing.B, name string) (*graph.Graph, []int32) {
 	if t, ok := benchTaus[key]; ok {
 		return g, t
 	}
-	tau, _ := truss.DecomposeParallel(g, sup, 0)
+	tau, _, _ := truss.DecomposeParallelCtx(nil, g, sup, 0, nil)
 	benchTaus[key] = tau
 	return g, tau
 }
@@ -131,7 +130,7 @@ func BenchmarkFig4KernelBreakdownParallel(b *testing.B) {
 			g, tau := benchTau(b, name)
 			var spNodePct float64
 			for i := 0; i < b.N; i++ {
-				_, tm := core.Build(g, tau, core.VariantBaseline, 1)
+				_, tm, _ := core.BuildCtx(nil, g, tau, core.VariantBaseline, 1, nil)
 				spNodePct = 100 * float64(tm.SpNode) / float64(tm.IndexTotal())
 			}
 			b.ReportMetric(spNodePct, "spnode%")
@@ -151,7 +150,7 @@ func BenchmarkFig5SpNodeVariants(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", name, v), func(b *testing.B) {
 				var spnode float64
 				for i := 0; i < b.N; i++ {
-					_, tm := core.Build(g, tau, v, 1)
+					_, tm, _ := core.BuildCtx(nil, g, tau, v, 1, nil)
 					spnode = tm.SpNode.Seconds()
 				}
 				b.ReportMetric(spnode*1e3, "spnode-ms")
@@ -170,7 +169,7 @@ func BenchmarkFig6StrongScaling(b *testing.B) {
 		for threads := 1; threads <= concur.MaxThreads(); threads *= 2 {
 			b.Run(fmt.Sprintf("%s/threads=%d", v, threads), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					core.Build(g, tau, v, threads)
+					core.BuildCtx(nil, g, tau, v, threads, nil)
 				}
 			})
 		}
@@ -188,7 +187,7 @@ func BenchmarkFig7SpNodeFriendster(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/threads=%d", v, threads), func(b *testing.B) {
 				var spnode float64
 				for i := 0; i < b.N; i++ {
-					_, tm := core.Build(g, tau, v, threads)
+					_, tm, _ := core.BuildCtx(nil, g, tau, v, threads, nil)
 					spnode = tm.SpNode.Seconds()
 				}
 				b.ReportMetric(spnode*1e3, "spnode-ms")
@@ -207,7 +206,7 @@ func BenchmarkFig8KernelsByThreads(b *testing.B) {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			var tm core.Timings
 			for i := 0; i < b.N; i++ {
-				_, tm = core.Build(g, tau, core.VariantAfforest, threads)
+				_, tm, _ = core.BuildCtx(nil, g, tau, core.VariantAfforest, threads, nil)
 			}
 			b.ReportMetric(tm.SpNode.Seconds()*1e3, "spnode-ms")
 			b.ReportMetric(tm.SpEdge.Seconds()*1e3, "spedge-ms")
@@ -227,8 +226,8 @@ func BenchmarkFig9ParallelEfficiency(b *testing.B) {
 		b.Run(v.String(), func(b *testing.B) {
 			var eff float64
 			for i := 0; i < b.N; i++ {
-				_, t1 := core.Build(g, tau, v, 1)
-				_, tp := core.Build(g, tau, v, p)
+				_, t1, _ := core.BuildCtx(nil, g, tau, v, 1, nil)
+				_, tp, _ := core.BuildCtx(nil, g, tau, v, p, nil)
 				eff = 100 * float64(t1.IndexTotal()) / (float64(p) * float64(tp.IndexTotal()))
 			}
 			b.ReportMetric(eff, "efficiency%")
@@ -245,7 +244,7 @@ func BenchmarkTable4SequentialComparison(b *testing.B) {
 	for _, v := range core.Variants {
 		b.Run(v.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.Build(g, tau, v, 1)
+				core.BuildCtx(nil, g, tau, v, 1, nil)
 			}
 		})
 	}
@@ -262,7 +261,7 @@ func BenchmarkTable5SpeedupSummary(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/threads=%d", v, threads), func(b *testing.B) {
 				var sg *core.SummaryGraph
 				for i := 0; i < b.N; i++ {
-					sg, _ = core.Build(g, tau, v, threads)
+					sg, _, _ = core.BuildCtx(nil, g, tau, v, threads, nil)
 				}
 				b.ReportMetric(float64(sg.NumSupernodes()), "supernodes")
 				b.ReportMetric(float64(sg.NumSuperedges()), "superedges")
@@ -273,45 +272,18 @@ func BenchmarkTable5SpeedupSummary(b *testing.B) {
 
 // --- Ablations (design choices called out in DESIGN.md) -------------------------
 
-// BenchmarkAblationCCAlgorithms compares the vertex-space CC substrates the
-// paper discusses in §3.1 (SV vs Afforest-adjacent strategies vs LP vs BFS).
-func BenchmarkAblationCCAlgorithms(b *testing.B) {
-	g := benchGraph(b, "youtube-sim")
-	algos := []struct {
-		name string
-		run  func(*graph.Graph, int) []int32
-	}{
-		{"shiloach-vishkin", cc.ShiloachVishkin},
-		{"afforest", cc.Afforest},
-		{"label-propagation", cc.LabelPropagation},
-		{"bfs", cc.BFS},
-	}
-	for _, a := range algos {
-		b.Run(a.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				a.run(g, 0)
-			}
-		})
-	}
-	b.Run("dfs-reference", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cc.Reference(g)
-		}
-	})
-}
-
 // BenchmarkAblationTrussSerialVsParallel isolates the TrussDecomp kernel.
 func BenchmarkAblationTrussSerialVsParallel(b *testing.B) {
 	g, sup := benchSupports(b, "youtube-sim")
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			truss.DecomposeSerial(g, sup)
+			truss.DecomposeSerialCtx(nil, g, sup)
 		}
 	})
 	for threads := 1; threads <= concur.MaxThreads(); threads *= 2 {
 		b.Run(fmt.Sprintf("parallel/threads=%d", threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				truss.DecomposeParallel(g, sup, threads)
+				truss.DecomposeParallelCtx(nil, g, sup, threads, nil)
 			}
 		})
 	}
@@ -328,12 +300,12 @@ func BenchmarkAblationSupportIntersection(b *testing.B) {
 	})
 	b.Run("gallop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			triangle.SupportsGalloping(g, 0)
+			triangle.SupportsGallopingCtx(nil, g, 0, nil)
 		}
 	})
 	b.Run("oriented", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			triangle.SupportsOriented(g, 0)
+			triangle.SupportsOrientedCtx(nil, g, 0, nil)
 		}
 	})
 }
@@ -349,7 +321,7 @@ func BenchmarkAblationBaselineDictionaries(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			concur.For(n, 0, func(j int) {
+			concur.For(nil, nil, "", n, 0, func(j int) {
 				v, _ := sm.Load(int64(j))
 				if v != int32(j) {
 					sm.Store(int64(j), int32(j))
@@ -364,7 +336,7 @@ func BenchmarkAblationBaselineDictionaries(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			concur.For(n, 0, func(j int) {
+			concur.For(nil, nil, "", n, 0, func(j int) {
 				if buf[j] != int32(j) {
 					buf[j] = int32(j)
 				}
@@ -384,7 +356,7 @@ func BenchmarkAblationSpNodeStrategies(b *testing.B) {
 		b.Run(v.String(), func(b *testing.B) {
 			var spnode float64
 			for i := 0; i < b.N; i++ {
-				_, tm := core.Build(g, tau, v, 0)
+				_, tm, _ := core.BuildCtx(nil, g, tau, v, 0, nil)
 				spnode = tm.SpNode.Seconds()
 			}
 			b.ReportMetric(spnode*1e3, "spnode-ms")
@@ -396,7 +368,7 @@ func BenchmarkAblationSpNodeStrategies(b *testing.B) {
 // time — the end-to-end reason the paper builds it.
 func BenchmarkQueryIndexedVsDirect(b *testing.B) {
 	g, tau := benchTau(b, "dblp-sim")
-	sg, _ := core.Build(g, tau, core.VariantAfforest, 0)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantAfforest, 0, nil)
 	idx, err := equitruss.BuildIndex(g, equitruss.Options{Variant: equitruss.Afforest})
 	if err != nil {
 		b.Fatal(err)
@@ -443,7 +415,7 @@ func BenchmarkDynamicMaintenance(b *testing.B) {
 	b.Run("from-scratch-decomposition", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sup := triangle.Supports(g, 0)
-			truss.DecomposeParallel(g, sup, 0)
+			truss.DecomposeParallelCtx(nil, g, sup, 0, nil)
 		}
 	})
 }

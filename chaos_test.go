@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -16,11 +17,7 @@ import (
 	"time"
 
 	"equitruss"
-	"equitruss/internal/cc"
-	"equitruss/internal/core"
 	"equitruss/internal/faults"
-	"equitruss/internal/triangle"
-	"equitruss/internal/truss"
 )
 
 // chaosWaitGoroutines polls until the goroutine count returns to base —
@@ -131,17 +128,27 @@ func TestChaosBarrierFault(t *testing.T) {
 	}
 }
 
-// TestChaosLegacyAPIsImmuneToBarrierFaults: the no-error legacy APIs
-// (Supports, Trussness, the *T wrappers in internal packages) run on
-// non-cancelable contexts excluded from fault injection, so arming the
-// scheduler barrier site must neither panic them nor corrupt their output —
-// while the ctx-taking APIs in the same process still observe the injected
-// fault. Regression test for the wrappers panicking on "unreachable"
-// injected errors.
+// TestChaosLegacyAPIsImmuneToBarrierFaults: the no-error public APIs
+// (Supports, Trussness, Index.Hierarchy, Communities) run their parallel
+// loops under a nil context, which the schedulers exclude from fault
+// injection, so arming the scheduler barrier site must neither panic them
+// nor corrupt their output — while the ctx-taking APIs in the same process
+// still observe the injected fault.
 func TestChaosLegacyAPIsImmuneToBarrierFaults(t *testing.T) {
 	g := equitruss.GenerateRMAT(10, 6, 7)
 	wantSup := equitruss.Supports(g, 2)
 	wantTau := equitruss.Trussness(g, 2)
+	sg, _, err := equitruss.BuildSummary(g, equitruss.Options{Variant: equitruss.Afforest, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type query struct{ v, k int32 }
+	queries := []query{{0, 3}, {1, 4}, {5, 3}, {17, 5}}
+	want := make([][]*equitruss.Community, len(queries))
+	oracle := equitruss.NewIndexFromSummary(g, sg)
+	for i, q := range queries {
+		want[i] = oracle.Communities(q.v, q.k)
+	}
 
 	faults.Enable(17)
 	defer faults.Disable()
@@ -157,41 +164,35 @@ func TestChaosLegacyAPIsImmuneToBarrierFaults(t *testing.T) {
 			}
 		}
 	}
-	tau := equitruss.Trussness(g, 4)
-	for i := range wantTau {
-		if tau[i] != wantTau[i] {
-			t.Fatalf("Trussness under armed barrier: tau[%d] = %d, want %d", i, tau[i], wantTau[i])
-		}
-	}
-	// Internal legacy wrappers ride the same exclusion — including the
-	// scan-free pkt peel kernel and the kernel dispatcher, whose outputs
-	// must stay bit-identical under the armed barrier.
-	triangle.SupportsT(g, 4, nil)
-	truss.DecomposeParallelT(g, wantSup, 4, nil)
-	pktTau, _ := truss.DecomposePKTT(g, wantSup, 4, nil)
-	for i := range wantTau {
-		if pktTau[i] != wantTau[i] {
-			t.Fatalf("DecomposePKTT under armed barrier: tau[%d] = %d, want %d", i, pktTau[i], wantTau[i])
-		}
-	}
 	for _, pk := range []equitruss.PeelKernel{
 		equitruss.PeelAuto, equitruss.PeelSerial, equitruss.PeelLevelSync, equitruss.PeelPKT,
 	} {
-		kTau, _ := truss.DecomposeKernel(g, wantSup, pk, 4)
+		tau := equitruss.TrussnessWithKernels(g, equitruss.KernelAuto, pk, 4)
 		for i := range wantTau {
-			if kTau[i] != wantTau[i] {
-				t.Fatalf("DecomposeKernel(%v) under armed barrier: tau[%d] = %d, want %d", pk, i, kTau[i], wantTau[i])
+			if tau[i] != wantTau[i] {
+				t.Fatalf("Trussness(%v) under armed barrier: tau[%d] = %d, want %d", pk, i, tau[i], wantTau[i])
 			}
 		}
 	}
-	cc.ShiloachVishkin(g, 4)
-	cc.Afforest(g, 4)
-	cc.LabelPropagation(g, 4)
-	cc.BFS(g, 4)
-	core.Build(g, wantTau, core.VariantAfforest, 4)
+	// A fresh index builds its hierarchy lazily, on the armed schedulers.
+	ix := equitruss.NewIndexFromSummary(g, sg)
+	if ix.Hierarchy() == nil {
+		t.Fatal("Hierarchy under armed barrier returned nil")
+	}
+	for i, q := range queries {
+		got := ix.Communities(q.v, q.k)
+		if len(got) != len(want[i]) {
+			t.Fatalf("Communities(%d, %d) under armed barrier: %d communities, want %d", q.v, q.k, len(got), len(want[i]))
+		}
+		for j := range got {
+			if !reflect.DeepEqual(got[j].Edges, want[i][j].Edges) {
+				t.Fatalf("Communities(%d, %d)[%d] under armed barrier differs from the unarmed answer", q.v, q.k, j)
+			}
+		}
+	}
 
-	// The exclusion is scoped to the legacy wrappers: a ctx-taking build in
-	// the same process must still see the injection.
+	// The exclusion is scoped to the nil context: a ctx-taking build in the
+	// same process must still see the injection.
 	if _, _, err := equitruss.BuildSummary(g, equitruss.Options{
 		Variant: equitruss.COptimal, Threads: 4, Context: context.Background(),
 	}); !errors.Is(err, faults.ErrInjected) {
@@ -212,7 +213,7 @@ func TestChaosCorruptIndexRejected(t *testing.T) {
 	if err := equitruss.SaveIndexFile(path, sg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := equitruss.LoadIndexFile(path, g); err != nil {
+	if _, _, err := equitruss.OpenIndexFile(path, g, equitruss.VerifyEager); err != nil {
 		t.Fatalf("clean index failed to load: %v", err)
 	}
 	blob, err := os.ReadFile(path)
@@ -229,7 +230,7 @@ func TestChaosCorruptIndexRejected(t *testing.T) {
 		if err := os.WriteFile(cpath, corrupt, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := equitruss.LoadIndexFile(cpath, g); err == nil {
+		if _, _, err := equitruss.OpenIndexFile(cpath, g, equitruss.VerifyEager); err == nil {
 			t.Fatalf("flipped byte %d of %d accepted at load", pos, len(blob))
 		}
 	}
@@ -268,7 +269,7 @@ func TestChaosSaveFaultPreservesOldIndex(t *testing.T) {
 	if string(before) != string(after) {
 		t.Fatal("failed save modified the existing index file")
 	}
-	if _, err := equitruss.LoadIndexFile(path, g); err != nil {
+	if _, _, err := equitruss.OpenIndexFile(path, g, equitruss.VerifyEager); err != nil {
 		t.Fatalf("old index unloadable after failed save: %v", err)
 	}
 }

@@ -71,9 +71,9 @@ func runColdstart(cfg config) {
 	name := fmt.Sprintf("rmat%d", scale)
 	fmt.Printf("%s: %d vertices, %d edges\n", name, g.NumVertices(), g.NumEdges())
 
-	sup := triangle.SupportsKernel(g, cfg.kernel, cfg.maxThr)
-	tau, kmax := truss.DecomposeKernel(g, sup, cfg.peel, cfg.maxThr)
-	sg, _ := core.Build(g, tau, core.VariantAfforest, cfg.maxThr)
+	sup, _ := triangle.SupportsKernelCtx(nil, g, cfg.kernel, cfg.maxThr, nil)
+	tau, kmax, _ := truss.DecomposeKernelCtx(nil, g, sup, cfg.peel, cfg.maxThr, nil)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantAfforest, cfg.maxThr, nil)
 
 	// The fixed query: the max-trussness community of the first edge that
 	// attains kmax — deterministic, and the strongest community in the
@@ -99,10 +99,10 @@ func runColdstart(cfg config) {
 		"v3-mmap-eager":   filepath.Join(dir, "index.v3"),
 		"v3-mmap-lazy":    filepath.Join(dir, "index.v3"),
 	}
-	if err := graphio.WriteBinaryIndexFileFormat(paths[coldstartV2Loader], sg, graphio.FormatV2); err != nil {
+	if err := graphio.WriteBinaryIndexFile(paths[coldstartV2Loader], sg); err != nil {
 		panic(err)
 	}
-	if err := graphio.WriteBinaryIndexFileFormat(paths["v3-mmap-eager"], sg, graphio.FormatV3); err != nil {
+	if err := graphio.WriteBinaryIndexFileV3(paths["v3-mmap-eager"], sg); err != nil {
 		panic(err)
 	}
 
@@ -163,7 +163,7 @@ func timeColdstart(cfg config, g *graph.Graph, loader, path string, qv, qk int32
 			if loader == "v3-mmap-lazy" {
 				mode = graphio.VerifyLazy
 			}
-			sg, m, err := graphio.MapIndexFile(path, mode)
+			sg, m, err := graphio.MapIndexFile(path, g.NumEdges(), mode)
 			if err != nil {
 				panic(err)
 			}

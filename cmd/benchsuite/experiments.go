@@ -31,12 +31,12 @@ func runFig2(cfg config) {
 	for _, name := range nets {
 		g := dataset(cfg, name)
 		start := time.Now()
-		sup := triangle.SupportsKernel(g, cfg.kernel, 1)
+		sup, _ := triangle.SupportsKernelCtx(nil, g, cfg.kernel, 1, nil)
 		supportT := time.Since(start)
 		start = time.Now()
-		tau, _ := truss.DecomposeSerial(g, sup)
+		tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
 		trussT := time.Since(start)
-		_, tm := core.BuildSerial(g, tau)
+		_, tm, _ := core.BuildCtx(nil, g, tau, core.VariantSerial, 1, nil)
 		eqT := tm.IndexTotal()
 		total := supportT + trussT + eqT
 		t.row(name, pct(supportT, total), pct(trussT, total), pct(eqT, total))
@@ -52,10 +52,10 @@ func runFig4(cfg config) {
 	for _, name := range fourNets {
 		g := dataset(cfg, name)
 		start := time.Now()
-		sup := triangle.SupportsKernel(g, cfg.kernel, 1)
+		sup, _ := triangle.SupportsKernelCtx(nil, g, cfg.kernel, 1, nil)
 		supportT := time.Since(start)
-		tau, _ := truss.DecomposeSerial(g, sup)
-		_, tm := core.Build(g, tau, core.VariantBaseline, 1)
+		tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
+		_, tm, _ := core.BuildCtx(nil, g, tau, core.VariantBaseline, 1, nil)
 		total := supportT + tm.IndexTotal()
 		t.row(name, pct(supportT, total), pct(tm.Init, total), pct(tm.SpNode, total),
 			pct(tm.SpEdge, total), pct(tm.SmGraph, total), pct(tm.SpNodeRemap, total))
@@ -72,7 +72,7 @@ func runFig5(cfg config) {
 		tau := trussness(cfg, name, g)
 		times := map[core.Variant]time.Duration{}
 		for _, v := range core.ParallelVariants {
-			_, tm := core.Build(g, tau, v, 1)
+			_, tm, _ := core.BuildCtx(nil, g, tau, v, 1, nil)
 			times[v] = tm.SpNode
 		}
 		base := times[core.VariantBaseline]
@@ -97,7 +97,7 @@ func runFig6(cfg config) {
 			var row []interface{}
 			row = append(row, thr)
 			for _, v := range core.ParallelVariants {
-				_, tm := core.Build(g, tau, v, thr)
+				_, tm, _ := core.BuildCtx(nil, g, tau, v, thr, nil)
 				row = append(row, secs(tm.IndexTotal()))
 			}
 			t.row(row...)
@@ -114,8 +114,8 @@ func runFig7(cfg config) {
 	tau := trussness(cfg, "friendster-sim", g)
 	t := newTable("Threads", "SpNode C-Opt(s)", "SpNode Aff.(s)")
 	for _, thr := range threadSweep(cfg.maxThr) {
-		_, tmC := core.Build(g, tau, core.VariantCOptimal, thr)
-		_, tmA := core.Build(g, tau, core.VariantAfforest, thr)
+		_, tmC, _ := core.BuildCtx(nil, g, tau, core.VariantCOptimal, thr, nil)
+		_, tmA, _ := core.BuildCtx(nil, g, tau, core.VariantAfforest, thr, nil)
 		t.row(thr, secs(tmC.SpNode), secs(tmA.SpNode))
 	}
 	emit(cfg.sink, "fig7", "", t)
@@ -133,7 +133,7 @@ func runFig8(cfg config) {
 		t := newTable("Threads", "Variant", "SpNode(s)", "SpEdge(s)", "SmGraph(s)")
 		for _, thr := range threadSweep(cfg.maxThr) {
 			for _, v := range core.ParallelVariants {
-				_, tm := core.Build(g, tau, v, thr)
+				_, tm, _ := core.BuildCtx(nil, g, tau, v, thr, nil)
 				t.row(thr, v.String(), secs(tm.SpNode), secs(tm.SpEdge), secs(tm.SmGraph))
 			}
 		}
@@ -151,7 +151,7 @@ func runFig9(cfg config) {
 		fmt.Printf("-- %s --\n", name)
 		seq := map[core.Variant]time.Duration{}
 		for _, v := range core.ParallelVariants {
-			_, tm := core.Build(g, tau, v, 1)
+			_, tm, _ := core.BuildCtx(nil, g, tau, v, 1, nil)
 			seq[v] = tm.IndexTotal()
 		}
 		t := newTable("Threads", "Baseline ε%", "C-Optimal ε%", "Afforest ε%")
@@ -159,7 +159,7 @@ func runFig9(cfg config) {
 			var row []interface{}
 			row = append(row, thr)
 			for _, v := range core.ParallelVariants {
-				_, tm := core.Build(g, tau, v, thr)
+				_, tm, _ := core.BuildCtx(nil, g, tau, v, thr, nil)
 				eff := 100 * float64(seq[v]) / (float64(thr) * float64(tm.IndexTotal()))
 				row = append(row, eff)
 			}
@@ -181,7 +181,7 @@ func runTab4(cfg config) {
 		var row []interface{}
 		row = append(row, name)
 		for _, v := range []core.Variant{core.VariantBaseline, core.VariantCOptimal, core.VariantAfforest, core.VariantSerial} {
-			_, tm := core.Build(g, tau, v, 1)
+			_, tm, _ := core.BuildCtx(nil, g, tau, v, 1, nil)
 			row = append(row, secs(tm.IndexTotal()))
 		}
 		t.row(row...)
@@ -205,8 +205,8 @@ func runTab5(cfg config) {
 		row = append(row, name)
 		var counts []interface{}
 		for _, v := range core.ParallelVariants {
-			sg1, tm1 := core.Build(g, tau, v, 1)
-			_, tmN := core.Build(g, tau, v, cfg.maxThr)
+			sg1, tm1, _ := core.BuildCtx(nil, g, tau, v, 1, nil)
+			_, tmN, _ := core.BuildCtx(nil, g, tau, v, cfg.maxThr, nil)
 			if sg == nil {
 				sg = sg1
 				counts = []interface{}{sg.NumSupernodes(), sg.NumSuperedges()}

@@ -366,8 +366,8 @@ func trussness(cfg config, name string, g *graph.Graph) []int32 {
 	if tau, ok := tauCache[key]; ok {
 		return tau
 	}
-	sup := triangle.SupportsKernel(g, cfg.kernel, 0)
-	tau, _ := truss.DecomposeKernel(g, sup, cfg.peel, 0)
+	sup, _ := triangle.SupportsKernelCtx(nil, g, cfg.kernel, 0, nil)
+	tau, _, _ := truss.DecomposeKernelCtx(nil, g, sup, cfg.peel, 0, nil)
 	tauCache[key] = tau
 	return tau
 }

@@ -29,7 +29,7 @@ func runPeel(cfg config) {
 	t := newTable("Network", "Kernel", "Seconds", "vsLevelsync")
 	for _, name := range fourNets {
 		g := dataset(cfg, name)
-		sup := triangle.SupportsKernel(g, cfg.kernel, cfg.maxThr)
+		sup, _ := triangle.SupportsKernelCtx(nil, g, cfg.kernel, cfg.maxThr, nil)
 		lsSec := 0.0
 		var want uint64
 		for i, k := range peelKernels {
@@ -60,7 +60,7 @@ func timePeel(cfg config, g *graph.Graph, sup []int32, k truss.PeelKernel, threa
 	var sum uint64
 	for r := 0; r < peelReps; r++ {
 		start := time.Now()
-		tau, _ := truss.DecomposeKernel(g, sup, k, threads)
+		tau, _, _ := truss.DecomposeKernelCtx(nil, g, sup, k, threads, nil)
 		dur := time.Since(start)
 		cfg.observe(dur)
 		sec := dur.Seconds()

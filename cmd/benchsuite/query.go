@@ -49,9 +49,9 @@ type queryEngine struct {
 // checksums panic — a time for a wrong answer is worse than no time.
 func runQuery(cfg config) {
 	g := gen.RMAT(queryRMATScale, queryRMATEdgeFactor, 0.57, 0.19, 0.19, queryRMATSeed)
-	sup := triangle.SupportsKernel(g, cfg.kernel, cfg.maxThr)
-	tau, _ := truss.DecomposeParallel(g, sup, cfg.maxThr)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, cfg.maxThr)
+	sup, _ := triangle.SupportsKernelCtx(nil, g, cfg.kernel, cfg.maxThr, nil)
+	tau, _, _ := truss.DecomposeParallelCtx(nil, g, sup, cfg.maxThr, nil)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantCOptimal, cfg.maxThr, nil)
 	idx := community.NewIndex(g, sg)
 	buildStart := time.Now()
 	h := idx.Hierarchy() // one-time precomputation, outside every timed region

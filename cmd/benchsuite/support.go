@@ -76,9 +76,9 @@ func runRMAT18(cfg config) {
 	fmt.Printf("rmat18: %d vertices, %d edges, kernel=%s, peel=%s\n",
 		g.NumVertices(), g.NumEdges(), cfg.kernel, cfg.peel)
 	sec, sum := timeSupport(cfg, g, cfg.kernel, cfg.maxThr)
-	sup := triangle.SupportsKernel(g, cfg.kernel, cfg.maxThr)
+	sup, _ := triangle.SupportsKernelCtx(nil, g, cfg.kernel, cfg.maxThr, nil)
 	start := time.Now()
-	tau, _ := truss.DecomposeKernel(g, sup, cfg.peel, cfg.maxThr)
+	tau, _, _ := truss.DecomposeKernelCtx(nil, g, sup, cfg.peel, cfg.maxThr, nil)
 	decomp := time.Since(start)
 	cfg.observe(decomp)
 	decompSec := decomp.Seconds()
@@ -107,7 +107,7 @@ func timeSupport(cfg config, g *graph.Graph, k triangle.Kernel, threads int) (fl
 	var sum uint64
 	for r := 0; r < supportReps; r++ {
 		start := time.Now()
-		sup := triangle.SupportsKernel(g, k, threads)
+		sup, _ := triangle.SupportsKernelCtx(nil, g, k, threads, nil)
 		dur := time.Since(start)
 		cfg.observe(dur)
 		sec := dur.Seconds()

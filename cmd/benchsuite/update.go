@@ -114,9 +114,9 @@ type updateResult struct {
 // handler closed-loop: each post waits until its batch is serving before the
 // next, so the applier's per-batch publish cycle is what gets timed.
 func timeUpdates(cfg config, g *graph.Graph, engine string, batches int) updateResult {
-	sup := triangle.SupportsKernel(g, cfg.kernel, cfg.maxThr)
-	tau, _ := truss.DecomposeKernel(g, sup, cfg.peel, cfg.maxThr)
-	sg, _ := core.Build(g, tau, core.VariantAfforest, cfg.maxThr)
+	sup, _ := triangle.SupportsKernelCtx(nil, g, cfg.kernel, cfg.maxThr, nil)
+	tau, _, _ := truss.DecomposeKernelCtx(nil, g, sup, cfg.peel, cfg.maxThr, nil)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantAfforest, cfg.maxThr, nil)
 	dir, err := os.MkdirTemp("", "benchsuite-update-*")
 	if err != nil {
 		panic(err)

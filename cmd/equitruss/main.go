@@ -125,7 +125,6 @@ func runBuildCtx(ctx context.Context, args []string) error {
 	peelName := fs.String("peel-kernel", "auto", "TrussDecomp kernel: auto|serial|levelsync|pkt")
 	threads := fs.Int("threads", 0, "threads (0 = all cores)")
 	out := fs.String("out", "", "write binary index to this path")
-	formatName := fs.String("format", "v3", "index layout for -out: v3 (flat, mmap-loadable) or v2 (sequential stream)")
 	obsf := addObsFlags(fs)
 	fs.Parse(args)
 	if *graphSpec == "" {
@@ -169,17 +168,13 @@ func runBuildCtx(ctx context.Context, args []string) error {
 		return err
 	}
 	if *out != "" {
-		format, err := equitruss.ParseIndexFormat(*formatName)
-		if err != nil {
-			return err
-		}
-		// Crash-safe save: checksummed stream, temp file + fsync + atomic
-		// rename — a crash or interrupt mid-save never leaves a torn
+		// Crash-safe save: checksummed v3 layout, temp file + fsync +
+		// atomic rename — a crash or interrupt mid-save never leaves a torn
 		// index behind.
-		if err := equitruss.SaveIndexFileFormat(*out, sg, format); err != nil {
+		if err := equitruss.SaveIndexFile(*out, sg); err != nil {
 			return err
 		}
-		fmt.Printf("index written to %s (%s)\n", *out, format)
+		fmt.Printf("index written to %s (%s)\n", *out, equitruss.FormatV3)
 	}
 	return nil
 }
@@ -208,12 +203,7 @@ func runQuery(args []string) error {
 	}
 	var idx *equitruss.Index
 	if *indexPath != "" {
-		f, err := os.Open(*indexPath)
-		if err != nil {
-			return err
-		}
-		idx, err = equitruss.LoadIndex(f, g)
-		f.Close()
+		idx, _, err = equitruss.OpenIndexFile(*indexPath, g, equitruss.VerifyEager)
 		if err != nil {
 			return err
 		}

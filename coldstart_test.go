@@ -1,19 +1,23 @@
 package equitruss_test
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"equitruss"
 	"equitruss/internal/graphio"
+	"equitruss/internal/mmapio"
 )
 
 // TestColdstartServeFromMmap is the cold-start drill over the real binary:
@@ -48,7 +52,7 @@ func TestColdstartServeFromMmap(t *testing.T) {
 	indexPath := filepath.Join(dir, "index.v3")
 
 	out, err := exec.Command(bin, "build",
-		"-graph", graphPath, "-variant", "afforest", "-format", "v3",
+		"-graph", graphPath, "-variant", "afforest",
 		"-out", indexPath).CombinedOutput()
 	if err != nil {
 		t.Fatalf("build command: %v\n%s", err, out)
@@ -159,4 +163,92 @@ func TestColdstartServeFromMmap(t *testing.T) {
 	}()
 	waitReady()
 	checkServing("eager-after-kill")
+}
+
+// writeFlippedIndex saves g's index as v3 and flips one low bit inside the
+// tau section: the values stay in range, so the file passes structural
+// validation and only the section checksum knows.
+func writeFlippedIndex(t *testing.T, g *equitruss.Graph) string {
+	t.Helper()
+	sg, _, err := equitruss.BuildSummary(g, equitruss.Options{Variant: equitruss.Afforest, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "flipped.v3")
+	if err := equitruss.SaveIndexFile(path, sg); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tauOff := binary.LittleEndian.Uint64(raw[48:]) // first section descriptor
+	raw[tauOff] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func lazyVerifyFailures() int64 {
+	for _, c := range equitruss.Counters() {
+		if c.Name == "graphio_lazy_verify_failures" {
+			return c.Value
+		}
+	}
+	return 0
+}
+
+// TestOpenIndexFileLazyRejectsMismatchedGraph: a lazy open against the
+// wrong graph must return the edge-count error before the background
+// checksum sweep starts — a sweep racing the rejected mapping's unmap would
+// fault, and a sweep that finishes would count a verify failure for an
+// index nobody serves.
+func TestOpenIndexFileLazyRejectsMismatchedGraph(t *testing.T) {
+	path := writeFlippedIndex(t, equitruss.GenerateRMAT(9, 6, 3))
+	other := equitruss.GenerateRMAT(7, 4, 9)
+	before := lazyVerifyFailures()
+	_, _, err := equitruss.OpenIndexFile(path, other, equitruss.VerifyLazy)
+	if err == nil || !strings.Contains(err.Error(), "edges, graph has") {
+		t.Fatalf("lazy open against a mismatched graph returned %v, want the edge-count error", err)
+	}
+	time.Sleep(200 * time.Millisecond)
+	if got := lazyVerifyFailures(); got != before {
+		t.Fatalf("graphio_lazy_verify_failures moved %d -> %d: a verifier ran over the rejected mapping", before, got)
+	}
+}
+
+// TestServeFailsClosedOnLazyVerifyFailure: once the deferred checksum sweep
+// finds the mapped index corrupt, the server must stop reporting ready and
+// stop answering queries from the corrupt mapping.
+func TestServeFailsClosedOnLazyVerifyFailure(t *testing.T) {
+	g := equitruss.GenerateRMAT(9, 6, 3)
+	ix, _, err := equitruss.OpenIndexFile(writeFlippedIndex(t, g), g, equitruss.VerifyLazy)
+	if err != nil {
+		t.Fatalf("lazy open rejected a structurally valid flip up front: %v", err)
+	}
+	m, ok := ix.SG.Backing.(*mmapio.Mapping)
+	if !ok {
+		t.Skip("index was not memory-mapped on this host")
+	}
+	for deadline := time.Now().Add(10 * time.Second); !m.VerifyDone(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("lazy verifier never finished")
+		}
+	}
+	if m.VerifyErr() == nil {
+		t.Fatal("lazy verifier missed the flipped tau byte")
+	}
+	ts := httptest.NewServer(equitruss.NewHandler(ix, equitruss.ServeOptions{}))
+	defer ts.Close()
+	for _, path := range []string{"/readyz", "/community?v=0&k=3", "/membership?v=0"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s over a mapping that failed verification: status %d, want 503", path, resp.StatusCode)
+		}
+	}
 }

@@ -249,13 +249,15 @@ func GenerateRMAT(scale, edgeFactor int, seed uint64) *Graph {
 // Supports returns the per-edge triangle counts (Definition 2), computed
 // with the auto-selected kernel. Use SupportsWithKernel to force one.
 func Supports(g *Graph, threads int) []int32 {
-	return triangle.SupportsKernel(g, triangle.KernelAuto, threads)
+	return SupportsWithKernel(g, KernelAuto, threads)
 }
 
 // SupportsWithKernel returns the per-edge triangle counts computed with the
-// selected kernel (KernelAuto resolves per graph).
+// selected kernel (KernelAuto resolves per graph). It runs under a nil
+// context, which is never canceled nor fault-injected, so it cannot fail.
 func SupportsWithKernel(g *Graph, k SupportKernel, threads int) []int32 {
-	return triangle.SupportsKernel(g, k, threads)
+	sup, _ := triangle.SupportsKernelCtx(nil, g, k, threads, nil)
+	return sup
 }
 
 // Trussness runs support computation and k-truss decomposition with the
@@ -266,10 +268,11 @@ func Trussness(g *Graph, threads int) []int32 {
 }
 
 // TrussnessWithKernels is Trussness with explicit Support and TrussDecomp
-// kernel selections (the auto values resolve per instance).
+// kernel selections (the auto values resolve per instance). Like
+// SupportsWithKernel it runs under a nil context and cannot fail.
 func TrussnessWithKernels(g *Graph, sk SupportKernel, pk PeelKernel, threads int) []int32 {
-	sup := triangle.SupportsKernel(g, sk, threads)
-	tau, _ := truss.DecomposeKernel(g, sup, pk, threads)
+	sup, _ := triangle.SupportsKernelCtx(nil, g, sk, threads, nil)
+	tau, _, _ := truss.DecomposeKernelCtx(nil, g, sup, pk, threads, nil)
 	return tau
 }
 
@@ -372,7 +375,7 @@ func buildSummary(g *Graph, opt Options) (*SummaryGraph, Timings, error) {
 // supernode).
 type Stats = core.Stats
 
-// Query is one (vertex, k) community lookup for Index.BatchCommunities.
+// Query is one (vertex, k) community lookup for Index.BatchCommunitiesCtx.
 type Query = community.Query
 
 // MaximalKTruss materializes the maximal k-truss subgraph given a
@@ -419,20 +422,17 @@ func NewDynamicFromGraph(g *Graph, threads int) *DynamicGraph {
 	return dynamic.FromStatic(g, Trussness(g, threads))
 }
 
-// IndexFormat selects an on-disk index layout for SaveIndexFormat.
+// IndexFormat names an on-disk index layout, as reported in LoadStats.
 type IndexFormat = graphio.IndexFormat
 
 // The index layouts. FormatV2 is the checksummed sequential stream; FormatV3
 // is the flat 64-byte-aligned layout that supports zero-copy memory-mapped
-// loading (see docs/ALGORITHMS.md, "Index layout v3"). Readers auto-detect
-// either.
+// loading (see docs/ALGORITHMS.md, "Index layout v3"). SaveIndexFile writes
+// v3; OpenIndexFile auto-detects either.
 const (
 	FormatV2 = graphio.FormatV2
 	FormatV3 = graphio.FormatV3
 )
-
-// ParseIndexFormat parses a -format flag value (v2|v3).
-func ParseIndexFormat(s string) (IndexFormat, error) { return graphio.ParseIndexFormat(s) }
 
 // VerifyMode selects when a memory-mapped index load verifies section
 // checksums: eagerly before serving, or lazily in the background.
@@ -447,45 +447,13 @@ const (
 // ParseVerifyMode parses a -verify flag value (eager|lazy).
 func ParseVerifyMode(s string) (VerifyMode, error) { return graphio.ParseVerifyMode(s) }
 
-// SaveIndex writes a summary graph as a v2 binary index stream. Use
-// SaveIndexFormat to select the mmap-ready v3 layout.
-func SaveIndex(w io.Writer, sg *SummaryGraph) error {
-	return graphio.WriteBinaryIndex(w, sg)
-}
-
-// SaveIndexFormat writes a summary graph in the selected index layout.
-func SaveIndexFormat(w io.Writer, sg *SummaryGraph, f IndexFormat) error {
-	return graphio.WriteBinaryIndexFormat(w, sg, f)
-}
-
-// LoadIndex reads a summary graph written by SaveIndex and attaches it to
-// its graph as a query-ready Index. ReadBinaryIndex validates every ID
-// range and CSR offset in the stream, so a corrupt or mismatched index is
-// rejected here with a descriptive error instead of panicking at query
-// time.
-func LoadIndex(r io.Reader, g *Graph) (*Index, error) {
-	sg, err := graphio.ReadBinaryIndex(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(sg.Tau) != int(g.NumEdges()) {
-		return nil, fmt.Errorf("equitruss: index built for %d edges, graph has %d", len(sg.Tau), g.NumEdges())
-	}
-	return &Index{Index: community.NewIndex(g, sg)}, nil
-}
-
-// SaveIndexFile writes a summary graph to path crash-safely: the
-// checksummed stream goes to a same-directory temp file that is fsynced and
-// atomically renamed into place, so a crash mid-save leaves either the old
-// index or the new one, never a torn file. The default layout is v3 (flat,
-// 64-byte-aligned, mmap-loadable); use SaveIndexFileFormat for v2.
+// SaveIndexFile writes a summary graph to path crash-safely in the v3
+// layout (flat, 64-byte-aligned, checksummed, mmap-loadable): the bytes go
+// to a same-directory temp file that is fsynced and atomically renamed into
+// place, so a crash mid-save leaves either the old index or the new one,
+// never a torn file.
 func SaveIndexFile(path string, sg *SummaryGraph) error {
-	return graphio.WriteBinaryIndexFileFormat(path, sg, graphio.FormatV3)
-}
-
-// SaveIndexFileFormat is SaveIndexFile with an explicit layout selection.
-func SaveIndexFileFormat(path string, sg *SummaryGraph, f IndexFormat) error {
-	return graphio.WriteBinaryIndexFileFormat(path, sg, f)
+	return graphio.WriteBinaryIndexFileV3(path, sg)
 }
 
 // LoadStats reports how an index file was loaded.
@@ -500,16 +468,11 @@ type LoadStats struct {
 	Format IndexFormat
 }
 
-// LoadIndexFile reads an index file written by SaveIndexFile (any layout:
-// v1, v2, or v3) and attaches it to its graph as a query-ready Index. Files
-// are checksum-verified: any single flipped byte on disk is rejected.
-func LoadIndexFile(path string, g *Graph) (*Index, error) {
-	ix, _, err := OpenIndexFile(path, g, VerifyEager)
-	return ix, err
-}
-
-// OpenIndexFile loads an index file by the fastest safe path its layout
-// permits and reports how. A v3 file on a little-endian host is memory-
+// OpenIndexFile loads an index file (any layout: v1, v2, or v3) by the
+// fastest safe path its layout permits, attaches it to its graph as a
+// query-ready Index, and reports how. Files are checksum-verified: with
+// VerifyEager any single flipped byte on disk is rejected before the call
+// returns. A v3 file on a little-endian host is memory-
 // mapped: the seven index arrays alias the page cache directly, the
 // vertex→supernode seed sets are computed on demand, and cold-start cost is
 // page-fault-driven — milliseconds for multi-hundred-MB indexes — instead
@@ -526,14 +489,9 @@ func OpenIndexFile(path string, g *Graph, verify VerifyMode) (*Index, LoadStats,
 	}
 	stats := LoadStats{Format: format}
 	if format == FormatV3 && mmapio.HostLittleEndian {
-		sg, m, err := graphio.MapIndexFile(path, verify)
+		sg, m, err := graphio.MapIndexFile(path, g.NumEdges(), verify)
 		if err != nil {
 			return nil, LoadStats{}, err
-		}
-		if len(sg.Tau) != int(g.NumEdges()) {
-			n := len(sg.Tau)
-			m.Unmap()
-			return nil, LoadStats{}, fmt.Errorf("equitruss: index built for %d edges, graph has %d", n, g.NumEdges())
 		}
 		stats.MmapBytes = int64(m.Len())
 		stats.Seconds = time.Since(start).Seconds()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -94,11 +95,11 @@ func TestIndexSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := equitruss.SaveIndex(&buf, idx.SG); err != nil {
+	path := filepath.Join(t.TempDir(), "g.idx")
+	if err := equitruss.SaveIndexFile(path, idx.SG); err != nil {
 		t.Fatal(err)
 	}
-	idx2, err := equitruss.LoadIndex(&buf, g)
+	idx2, _, err := equitruss.OpenIndexFile(path, g, equitruss.VerifyEager)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +113,7 @@ func TestIndexSaveLoad(t *testing.T) {
 	}
 	// Mismatched graph must be rejected.
 	other := equitruss.GenerateRMAT(6, 3, 9)
-	var buf2 bytes.Buffer
-	if err := equitruss.SaveIndex(&buf2, idx.SG); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := equitruss.LoadIndex(&buf2, other); err == nil {
+	if _, _, err := equitruss.OpenIndexFile(path, other, equitruss.VerifyEager); err == nil {
 		t.Fatal("index accepted for wrong graph")
 	}
 }
@@ -182,7 +179,7 @@ func TestIndexStatsAndBatchPublic(t *testing.T) {
 		t.Fatal("no supernodes in dataset index")
 	}
 	queries := []equitruss.Query{{Vertex: 0, K: 3}, {Vertex: 1, K: 4}}
-	out := idx.BatchCommunities(queries, 2)
+	out, _ := idx.BatchCommunitiesCtx(nil, queries, 2)
 	if len(out) != 2 {
 		t.Fatalf("batch results = %d", len(out))
 	}

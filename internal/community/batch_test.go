@@ -17,7 +17,7 @@ func TestBatchCommunitiesMatchesSequential(t *testing.T) {
 		}
 	}
 	for _, threads := range []int{1, 2, 4} {
-		results := idx.BatchCommunities(queries, threads)
+		results, _ := idx.BatchCommunitiesCtx(nil, queries, threads)
 		if len(results) != len(queries) {
 			t.Fatalf("threads=%d: %d results for %d queries", threads, len(results), len(queries))
 		}
@@ -34,7 +34,7 @@ func TestBatchCommunitiesMatchesSequential(t *testing.T) {
 func TestBatchCommunitiesEmpty(t *testing.T) {
 	g := gen.Clique(4)
 	_, idx := pipeline(t, g)
-	if out := idx.BatchCommunities(nil, 2); len(out) != 0 {
+	if out, _ := idx.BatchCommunitiesCtx(nil, nil, 2); len(out) != 0 {
 		t.Fatalf("empty batch returned %d", len(out))
 	}
 }

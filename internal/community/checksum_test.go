@@ -14,8 +14,8 @@ func buildVariantIndex(t *testing.T, variant core.Variant, threads int) *Index {
 	t.Helper()
 	g := gen.RMAT(10, 8, 0.57, 0.19, 0.19, 7)
 	sup := triangle.Supports(g, threads)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, variant, threads)
+	tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
+	sg, _, _ := core.BuildCtx(nil, g, tau, variant, threads, nil)
 	return NewIndex(g, sg)
 }
 
@@ -44,8 +44,8 @@ func TestChecksumsCanonicalAcrossVariants(t *testing.T) {
 func TestChecksumsDetectStateChange(t *testing.T) {
 	g := gen.Clique(8)
 	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantSerial, 1)
+	tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantSerial, 1, nil)
 	ref := NewIndex(g, sg).Checksums()
 
 	g2, err := g.InducedByEdges(func(eid int32) bool { return eid != 0 })
@@ -53,8 +53,8 @@ func TestChecksumsDetectStateChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	sup2 := triangle.Supports(g2, 1)
-	tau2, _ := truss.DecomposeSerial(g2, sup2)
-	sg2, _ := core.Build(g2, tau2, core.VariantSerial, 1)
+	tau2, _, _ := truss.DecomposeSerialCtx(nil, g2, sup2)
+	sg2, _, _ := core.BuildCtx(nil, g2, tau2, core.VariantSerial, 1, nil)
 	got := NewIndex(g2, sg2).Checksums()
 	if got.Tau == ref.Tau {
 		t.Fatal("tau checksum unchanged after deleting an edge")

@@ -17,8 +17,8 @@ import (
 func pipeline(t testing.TB, g *graph.Graph) ([]int32, *community.Index) {
 	t.Helper()
 	sup := triangle.Supports(g, 2)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, 2)
+	tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantCOptimal, 2, nil)
 	if err := sg.Validate(g); err != nil {
 		t.Fatalf("invalid index: %v", err)
 	}

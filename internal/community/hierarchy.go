@@ -141,7 +141,7 @@ func buildHierarchy(ctx context.Context, idx *Index, threads int, tr *obs.Trace)
 		}
 		return int(lvl) - core.MinK
 	}
-	if err := concur.ForRangeCtx(ctx, s, threads, func(lo, hi int) {
+	if err := concur.ForRange(ctx, nil, "", s, threads, func(lo, hi int) {
 		for sn := int32(lo); sn < int32(hi); sn++ {
 			atomic.AddInt64(&snCnt[sg.K[sn]-core.MinK], 1)
 			for _, nb := range sg.SupernodeNeighbors(sn) {
@@ -160,7 +160,7 @@ func buildHierarchy(ctx context.Context, idx *Index, threads int, tr *obs.Trace)
 	seB := make([]int32, seOff[levels])
 	snCur := make([]int64, levels)
 	seCur := make([]int64, levels)
-	if err := concur.ForRangeCtx(ctx, s, threads, func(lo, hi int) {
+	if err := concur.ForRange(ctx, nil, "", s, threads, func(lo, hi int) {
 		for sn := int32(lo); sn < int32(hi); sn++ {
 			lvlSN := int(sg.K[sn]) - core.MinK
 			snByK[snOff[lvlSN]+atomic.AddInt64(&snCur[lvlSN], 1)-1] = sn
@@ -327,7 +327,7 @@ func buildHierarchy(ctx context.Context, idx *Index, threads int, tr *obs.Trace)
 	// every child finalized before its parent reads it.
 	h.edges = make([]int64, n)
 	h.nodeMin = make([]int32, n)
-	if err := concur.ForRangeCtx(ctx, n, threads, func(lo, hi int) {
+	if err := concur.ForRange(ctx, nil, "", n, threads, func(lo, hi int) {
 		for id := lo; id < hi; id++ {
 			h.nodeMin[id] = int32(len(sg.EdgeToSN)) // sentinel above any edge ID
 			for _, sn := range h.ownSN[h.ownOff[id]:h.ownOff[id+1]] {
@@ -368,7 +368,7 @@ func buildHierarchy(ctx context.Context, idx *Index, threads int, tr *obs.Trace)
 	if vthr < 1 {
 		vthr = 1
 	}
-	if err := concur.ForThreadsCtx(ctx, vthr, func(tid int) {
+	if err := concur.ForThreads(ctx, nil, "", vthr, func(tid int) {
 		lo, hi := tid*nv/vthr, (tid+1)*nv/vthr
 		seen := ds.NewStamps(n)
 		for v := lo; v < hi; v++ {

@@ -21,15 +21,15 @@ func rebuildFromScratch(t *testing.T, dg *dynamic.Graph) *Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sg, _ := core.Build(g, tau, core.VariantSerial, 1)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantSerial, 1, nil)
 	return NewIndex(g, sg)
 }
 
 func indexFromGraph(t *testing.T, g *graph.Graph) (*Index, []int32) {
 	t.Helper()
 	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantSerial, 1)
+	tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantSerial, 1, nil)
 	return NewIndex(g, sg), tau
 }
 

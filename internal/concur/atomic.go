@@ -16,30 +16,3 @@ func CASMinInt32(addr *int32, v int32) bool {
 		}
 	}
 }
-
-// CASMaxInt32 atomically raises *addr to v if v is larger, returning true
-// if the store happened.
-func CASMaxInt32(addr *int32, v int32) bool {
-	for {
-		old := atomic.LoadInt32(addr)
-		if v <= old {
-			return false
-		}
-		if atomic.CompareAndSwapInt32(addr, old, v) {
-			return true
-		}
-	}
-}
-
-// FetchAddInt64 atomically adds delta to *addr and returns the previous
-// value. It is the bump-allocator primitive used to claim output slots when
-// compacting frontiers in parallel.
-func FetchAddInt64(addr *int64, delta int64) int64 {
-	return atomic.AddInt64(addr, delta) - delta
-}
-
-// FetchAddInt32 atomically adds delta to *addr and returns the previous
-// value.
-func FetchAddInt32(addr *int32, delta int32) int32 {
-	return atomic.AddInt32(addr, delta) - delta
-}

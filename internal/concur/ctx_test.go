@@ -29,63 +29,84 @@ func settleGoroutines(t *testing.T, baseline int) {
 	}
 }
 
-func TestCtxSchedulersCompleteWithBackgroundContext(t *testing.T) {
-	const n = 10000
-	ctx := context.Background()
-	check := func(name string, run func(hits *[]int32) error) {
-		hits := make([]int32, n)
-		if err := run(&hits); err != nil {
-			t.Fatalf("%s returned %v with background ctx", name, err)
-		}
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("%s: iteration %d ran %d times", name, i, h)
+// shapes runs every scheduler shape over hits, incrementing each slot the
+// body visits; ForThreads visits one slot per thread id.
+var shapes = []struct {
+	name string
+	run  func(ctx context.Context, hits []int32) error
+}{
+	{"For", func(ctx context.Context, hits []int32) error {
+		return For(ctx, nil, "", len(hits), 4, func(i int) { atomic.AddInt32(&hits[i], 1) })
+	}},
+	{"ForRange", func(ctx context.Context, hits []int32) error {
+		return ForRange(ctx, nil, "", len(hits), 4, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&hits[i], 1)
 			}
+		})
+	}},
+	{"ForDynamic", func(ctx context.Context, hits []int32) error {
+		return ForDynamic(ctx, nil, "", len(hits), 4, 64, func(i int) { atomic.AddInt32(&hits[i], 1) })
+	}},
+	{"ForRangeDynamic", func(ctx context.Context, hits []int32) error {
+		return ForRangeDynamic(ctx, nil, "", len(hits), 4, 64, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&hits[i], 1)
+			}
+		})
+	}},
+	{"ForThreads", func(ctx context.Context, hits []int32) error {
+		return ForThreads(ctx, nil, "", len(hits), func(tid int) { atomic.AddInt32(&hits[tid], 1) })
+	}},
+}
+
+// shapeSize is the range each shape covers; ForThreads runs one body per
+// thread, so it gets a thread count.
+func shapeSize(name string) int {
+	if name == "ForThreads" {
+		return 8
+	}
+	return 10_000
+}
+
+func checkOnce(t *testing.T, name string, hits []int32) {
+	t.Helper()
+	for i, h := range hits {
+		if h != 1 {
+			t.Fatalf("%s: index %d ran %d times", name, i, h)
 		}
 	}
-	check("ForCtx", func(h *[]int32) error {
-		return ForCtx(ctx, n, 4, func(i int) { atomic.AddInt32(&(*h)[i], 1) })
-	})
-	check("ForRangeCtx", func(h *[]int32) error {
-		return ForRangeCtx(ctx, n, 4, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&(*h)[i], 1)
+}
+
+func TestCtxSchedulersCompleteWithBackgroundContext(t *testing.T) {
+	for _, ctx := range []context.Context{context.Background(), nil} {
+		for _, sh := range shapes {
+			hits := make([]int32, shapeSize(sh.name))
+			if err := sh.run(ctx, hits); err != nil {
+				t.Fatalf("%s returned %v with ctx %v", sh.name, err, ctx)
 			}
-		})
-	})
-	check("ForDynamicCtx", func(h *[]int32) error {
-		return ForDynamicCtx(ctx, n, 4, 64, func(i int) { atomic.AddInt32(&(*h)[i], 1) })
-	})
-	check("ForRangeDynamicCtx", func(h *[]int32) error {
-		return ForRangeDynamicCtx(ctx, n, 4, 64, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&(*h)[i], 1)
-			}
-		})
-	})
-	// Nil context behaves like background.
-	check("ForCtx(nil)", func(h *[]int32) error {
-		return ForCtx(nil, n, 4, func(i int) { atomic.AddInt32(&(*h)[i], 1) })
-	})
+			checkOnce(t, sh.name, hits)
+		}
+	}
 }
 
 func TestCtxSchedulersPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	if err := ForCtx(ctx, 1<<20, 4, func(i int) { ran.Add(1) }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ForCtx on canceled ctx returned %v", err)
+	if err := For(ctx, nil, "", 1<<20, 4, func(i int) { ran.Add(1) }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("For on canceled ctx returned %v", err)
 	}
 	// Workers may complete at most one chunk each before observing the
 	// cancellation; they must not run the whole loop.
 	if n := ran.Load(); n >= 1<<20 {
-		t.Fatalf("pre-canceled ForCtx ran all %d iterations", n)
+		t.Fatalf("pre-canceled For ran all %d iterations", n)
 	}
-	if err := ForRangeDynamicCtx(ctx, 1<<20, 4, 64, func(lo, hi int) {}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ForRangeDynamicCtx on canceled ctx returned %v", err)
+	if err := ForRangeDynamic(ctx, nil, "", 1<<20, 4, 64, func(lo, hi int) {}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ForRangeDynamic on canceled ctx returned %v", err)
 	}
-	if err := ForThreadsCtx(ctx, 4, func(tid int) { ran.Add(1) }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ForThreadsCtx on canceled ctx returned %v", err)
+	if err := ForThreads(ctx, nil, "", 4, func(tid int) { ran.Add(1) }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ForThreads on canceled ctx returned %v", err)
 	}
 }
 
@@ -96,7 +117,7 @@ func TestCtxSchedulersCancelMidRunNoLeak(t *testing.T) {
 	var ran atomic.Int64
 	errc := make(chan error, 1)
 	go func() {
-		errc <- ForDynamicCtx(ctx, 1<<30, 4, 64, func(i int) {
+		errc <- ForDynamic(ctx, nil, "", 1<<30, 4, 64, func(i int) {
 			select {
 			case started <- struct{}{}:
 			default:
@@ -120,36 +141,25 @@ func TestCtxSchedulersCancelMidRunNoLeak(t *testing.T) {
 	settleGoroutines(t, baseline)
 }
 
-// TestWithoutFaultsSuppressesBarrierInjection pins the contract the legacy
-// no-error wrappers rely on: a WithoutFaults context runs to completion
-// under an armed barrier site (same process, same arming) while a plain
-// context observes the injection — and cancellation still outranks the
-// exclusion.
-func TestWithoutFaultsSuppressesBarrierInjection(t *testing.T) {
+// TestNilCtxSuppressesBarrierInjection pins the contract the no-error
+// callers rely on: under an armed barrier site, every scheduler shape run
+// with a nil context covers its range exactly once and returns nil, while
+// the same shape with context.Background() in the same process observes the
+// injection.
+func TestNilCtxSuppressesBarrierInjection(t *testing.T) {
 	faults.Enable(7)
 	defer faults.Disable()
 	faults.Set("concur.barrier", faults.Plan{Action: faults.Error, Every: 1})
 
-	const n = 10_000
-	var ran atomic.Int64
-	if err := ForCtx(WithoutFaults(context.Background()), n, 4, func(i int) { ran.Add(1) }); err != nil {
-		t.Fatalf("WithoutFaults ctx under armed barrier returned %v", err)
-	}
-	if ran.Load() != n {
-		t.Fatalf("WithoutFaults loop ran %d of %d iterations", ran.Load(), n)
-	}
-	if err := ForThreadsCtx(WithoutFaults(context.Background()), 4, func(tid int) {}); err != nil {
-		t.Fatalf("WithoutFaults ForThreadsCtx returned %v", err)
-	}
-	// A plain background context in the same process still sees the fault.
-	if err := ForCtx(context.Background(), n, 4, func(i int) {}); !errors.Is(err, faults.ErrInjected) {
-		t.Fatalf("plain ctx under armed barrier returned %v, want injected fault", err)
-	}
-	// Cancellation is not suppressed — only injection is.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := ForCtx(WithoutFaults(ctx), n, 4, func(i int) {}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled WithoutFaults ctx returned %v, want context.Canceled", err)
+	for _, sh := range shapes {
+		hits := make([]int32, shapeSize(sh.name))
+		if err := sh.run(nil, hits); err != nil {
+			t.Fatalf("%s with nil ctx under armed barrier returned %v", sh.name, err)
+		}
+		checkOnce(t, sh.name, hits)
+		if err := sh.run(context.Background(), make([]int32, shapeSize(sh.name))); !errors.Is(err, faults.ErrInjected) {
+			t.Fatalf("%s with background ctx under armed barrier returned %v, want injected fault", sh.name, err)
+		}
 	}
 }
 
@@ -157,7 +167,7 @@ func TestChaosBarrierFaultPropagates(t *testing.T) {
 	faults.Enable(5)
 	defer faults.Disable()
 	faults.Set("concur.barrier", faults.Plan{Action: faults.Error, Every: 1})
-	err := ForCtx(context.Background(), 100, 2, func(i int) {})
+	err := For(context.Background(), nil, "", 100, 2, func(i int) {})
 	if !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("armed barrier returned %v, want injected fault", err)
 	}
@@ -165,7 +175,7 @@ func TestChaosBarrierFaultPropagates(t *testing.T) {
 	// ctx.Err(), not chaos noise.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := ForCtx(ctx, 100, 2, func(i int) {}); !errors.Is(err, context.Canceled) {
+	if err := For(ctx, nil, "", 100, 2, func(i int) {}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled ctx with armed barrier returned %v", err)
 	}
 }

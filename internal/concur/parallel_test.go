@@ -3,14 +3,13 @@ package concur
 import (
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestForCoversRange(t *testing.T) {
 	for _, threads := range []int{0, 1, 2, 3, 7} {
 		for _, n := range []int{0, 1, 2, 63, 1000} {
 			hits := make([]int32, n)
-			For(n, threads, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			For(nil, nil, "", n, threads, func(i int) { atomic.AddInt32(&hits[i], 1) })
 			for i, h := range hits {
 				if h != 1 {
 					t.Fatalf("threads=%d n=%d: index %d visited %d times", threads, n, i, h)
@@ -24,7 +23,7 @@ func TestForRangeCoversRangeDisjointly(t *testing.T) {
 	for _, threads := range []int{1, 2, 5} {
 		n := 997
 		hits := make([]int32, n)
-		ForRange(n, threads, func(lo, hi int) {
+		ForRange(nil, nil, "", n, threads, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&hits[i], 1)
 			}
@@ -41,7 +40,7 @@ func TestForDynamicCoversRange(t *testing.T) {
 	for _, grain := range []int{0, 1, 10, 10000} {
 		n := 12345
 		hits := make([]int32, n)
-		ForDynamic(n, 4, grain, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		ForDynamic(nil, nil, "", n, 4, grain, func(i int) { atomic.AddInt32(&hits[i], 1) })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("grain=%d: index %d visited %d times", grain, i, h)
@@ -53,24 +52,12 @@ func TestForDynamicCoversRange(t *testing.T) {
 func TestForThreadsRunsEachTIDOnce(t *testing.T) {
 	for _, threads := range []int{1, 2, 8} {
 		hits := make([]int32, threads)
-		ForThreads(threads, func(tid int) { atomic.AddInt32(&hits[tid], 1) })
+		ForThreads(nil, nil, "", threads, func(tid int) { atomic.AddInt32(&hits[tid], 1) })
 		for tid, h := range hits {
 			if h != 1 {
 				t.Fatalf("threads=%d: tid %d ran %d times", threads, tid, h)
 			}
 		}
-	}
-}
-
-func TestReduceInt64(t *testing.T) {
-	n := 100000
-	got := ReduceInt64(n, 4, func(i int) int64 { return int64(i) })
-	want := int64(n) * int64(n-1) / 2
-	if got != want {
-		t.Fatalf("sum = %d, want %d", got, want)
-	}
-	if got := ReduceInt64(0, 4, func(i int) int64 { return 1 }); got != 0 {
-		t.Fatalf("empty sum = %d, want 0", got)
 	}
 }
 
@@ -93,104 +80,13 @@ func TestCASMinMax(t *testing.T) {
 	if CASMinInt32(&v, 7) {
 		t.Fatal("CASMin lowered to a larger value")
 	}
-	if !CASMaxInt32(&v, 9) || v != 9 {
-		t.Fatalf("CASMax failed: v=%d", v)
-	}
-	if CASMaxInt32(&v, 3) {
-		t.Fatal("CASMax raised to a smaller value")
-	}
 }
 
 func TestCASMinConcurrent(t *testing.T) {
 	v := int32(1 << 30)
-	For(1000, 8, func(i int) { CASMinInt32(&v, int32(i)) })
+	For(nil, nil, "", 1000, 8, func(i int) { CASMinInt32(&v, int32(i)) })
 	if v != 0 {
 		t.Fatalf("concurrent CASMin = %d, want 0", v)
-	}
-}
-
-func TestFetchAdd(t *testing.T) {
-	var x64 int64
-	var x32 int32
-	For(1000, 8, func(i int) {
-		FetchAddInt64(&x64, 2)
-		FetchAddInt32(&x32, 1)
-	})
-	if x64 != 2000 || x32 != 1000 {
-		t.Fatalf("fetch-add totals = %d/%d, want 2000/1000", x64, x32)
-	}
-	if prev := FetchAddInt64(&x64, 5); prev != 2000 {
-		t.Fatalf("FetchAddInt64 returned %d, want previous 2000", prev)
-	}
-}
-
-func TestPrefixSumMatchesSerial(t *testing.T) {
-	check := func(vals []uint16) bool {
-		counts := make([]int64, len(vals))
-		want := make([]int64, len(vals))
-		var sum int64
-		for i, v := range vals {
-			counts[i] = int64(v)
-			want[i] = sum
-			sum += int64(v)
-		}
-		total := ExclusivePrefixSumInt64(counts, 4)
-		if total != sum {
-			return false
-		}
-		for i := range counts {
-			if counts[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPrefixSumLargeParallelPath(t *testing.T) {
-	n := 100000 // above the serial cutoff
-	counts := make([]int64, n)
-	for i := range counts {
-		counts[i] = int64(i % 7)
-	}
-	want := make([]int64, n)
-	var sum int64
-	for i := range counts {
-		want[i] = sum
-		sum += counts[i]
-	}
-	if total := ExclusivePrefixSumInt64(counts, 4); total != sum {
-		t.Fatalf("total = %d, want %d", total, sum)
-	}
-	for i := range counts {
-		if counts[i] != want[i] {
-			t.Fatalf("prefix[%d] = %d, want %d", i, counts[i], want[i])
-		}
-	}
-}
-
-func TestPrefixSumInt32(t *testing.T) {
-	n := 100000
-	counts := make([]int32, n)
-	for i := range counts {
-		counts[i] = int32(i % 5)
-	}
-	var sum int64
-	want := make([]int32, n)
-	for i := range counts {
-		want[i] = int32(sum)
-		sum += int64(counts[i])
-	}
-	if total := ExclusivePrefixSumInt32(counts, 4); total != sum {
-		t.Fatalf("total = %d, want %d", total, sum)
-	}
-	for i := range counts {
-		if counts[i] != want[i] {
-			t.Fatalf("prefix[%d] = %d, want %d", i, counts[i], want[i])
-		}
 	}
 }
 

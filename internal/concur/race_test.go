@@ -20,10 +20,10 @@ func TestStressStaticSchedulersShared(t *testing.T) {
 	c := reg.Counter("stress_static", "")
 	for rounds := 0; rounds < 4; rounds++ {
 		var sum atomic.Int64
-		ForT(tr, "static", n, 8, func(i int) {
+		For(nil, tr, "static", n, 8, func(i int) {
 			sum.Add(int64(i))
 		})
-		ForRangeT(tr, "static", n, 8, func(lo, hi int) {
+		ForRange(nil, tr, "static", n, 8, func(lo, hi int) {
 			var local int64
 			for i := lo; i < hi; i++ {
 				local++
@@ -52,7 +52,7 @@ func TestStressDynamicSchedulersShared(t *testing.T) {
 	c := reg.Counter("stress_dynamic", "")
 	for rounds := 0; rounds < 4; rounds++ {
 		var sum atomic.Int64
-		ForRangeDynamicT(tr, "dynamic", n, 8, 128, func(lo, hi int) {
+		ForRangeDynamic(nil, tr, "dynamic", n, 8, 128, func(lo, hi int) {
 			var local int64
 			for i := lo; i < hi; i++ {
 				local += int64(i)
@@ -60,7 +60,7 @@ func TestStressDynamicSchedulersShared(t *testing.T) {
 			sum.Add(local)
 			c.Add(int64(hi - lo))
 		})
-		ForDynamicT(tr, "dynamic", n, 8, 256, func(i int) {
+		ForDynamic(nil, tr, "dynamic", n, 8, 256, func(i int) {
 			sum.Add(1)
 		})
 		want := int64(n)*(n-1)/2 + n
@@ -83,7 +83,7 @@ func TestStressDynamicSchedulersShared(t *testing.T) {
 }
 
 // TestStressCtxManualCursorAccumulate hammers the scheduler shape the
-// oriented Support kernel uses: ForThreadsCtxT workers claiming chunks off
+// oriented Support kernel uses: ForThreads workers claiming chunks off
 // a shared atomic cursor, crediting into per-thread accumulation arrays
 // (no atomics on the hot path), followed by a parallel reduce — with a
 // live tracer and a shared counter in play. Race-detector fodder for the
@@ -103,7 +103,7 @@ func TestStressCtxManualCursorAccumulate(t *testing.T) {
 			accs[t] = make([]int64, n)
 		}
 		var cursor atomic.Int64
-		err := ForThreadsCtxT(nil, tr, "cursor", threads, func(tid int) {
+		err := ForThreads(nil, tr, "cursor", threads, func(tid int) {
 			acc := accs[tid]
 			var claimed int64
 			for {
@@ -126,7 +126,7 @@ func TestStressCtxManualCursorAccumulate(t *testing.T) {
 			t.Fatalf("round %d: %v", rounds, err)
 		}
 		var sum atomic.Int64
-		err = ForRangeCtxT(nil, tr, "reduce", n, threads, func(lo, hi int) {
+		err = ForRange(nil, tr, "reduce", n, threads, func(lo, hi int) {
 			var local int64
 			for i := lo; i < hi; i++ {
 				for t := 0; t < threads; t++ {
@@ -154,7 +154,7 @@ func TestStressForThreadsShared(t *testing.T) {
 	tr := obs.NewTrace()
 	var sum atomic.Int64
 	for rounds := 0; rounds < 8; rounds++ {
-		ForThreadsT(tr, "threads", 8, func(tid int) {
+		ForThreads(nil, tr, "threads", 8, func(tid int) {
 			sum.Add(int64(tid))
 		})
 	}

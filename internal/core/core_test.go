@@ -35,7 +35,7 @@ func TestVariantEquivalenceRandom(t *testing.T) {
 	check := func(seed int64) bool {
 		g := randomGraph(seed, 28, 0.3)
 		tau := buildTau(t, g)
-		want, _ := core.BuildSerial(g, tau)
+		want, _, _ := core.BuildCtx(nil, g, tau, core.VariantSerial, 1, nil)
 		if err := want.Validate(g); err != nil {
 			t.Logf("serial invalid: %v", err)
 			return false
@@ -43,7 +43,7 @@ func TestVariantEquivalenceRandom(t *testing.T) {
 		wantCanon := want.Canonical(g)
 		for _, variant := range append(append([]core.Variant(nil), core.ParallelVariants...), core.AblationVariants...) {
 			for _, threads := range []int{1, 2, 4} {
-				got, _ := core.Build(g, tau, variant, threads)
+				got, _, _ := core.BuildCtx(nil, g, tau, variant, threads, nil)
 				if err := got.Validate(g); err != nil {
 					t.Logf("%s/%d invalid: %v", variant, threads, err)
 					return false
@@ -76,13 +76,13 @@ func TestVariantEquivalenceStructured(t *testing.T) {
 	}
 	for name, g := range graphs {
 		tau := buildTau(t, g)
-		want, _ := core.BuildSerial(g, tau)
+		want, _, _ := core.BuildCtx(nil, g, tau, core.VariantSerial, 1, nil)
 		if err := want.Validate(g); err != nil {
 			t.Fatalf("%s: serial invalid: %v", name, err)
 		}
 		wantCanon := want.Canonical(g)
 		for _, variant := range append(append([]core.Variant(nil), core.ParallelVariants...), core.AblationVariants...) {
-			got, _ := core.Build(g, tau, variant, 2)
+			got, _, _ := core.BuildCtx(nil, g, tau, variant, 2, nil)
 			if err := got.Validate(g); err != nil {
 				t.Fatalf("%s/%s: invalid: %v", name, variant, err)
 			}
@@ -102,7 +102,7 @@ func TestVariantEquivalenceStructured(t *testing.T) {
 func TestSupernodePropertyDefinition(t *testing.T) {
 	g := gen.PlantedPartition(5, 9, 0.7, 1.5, 23)
 	tau := buildTau(t, g)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, 2)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantCOptimal, 2, nil)
 	if err := sg.Validate(g); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestSupernodePropertyDefinition(t *testing.T) {
 func TestSuperedgeDefinition(t *testing.T) {
 	g := gen.SharedEdgeCliquePair(7, 5)
 	tau := buildTau(t, g)
-	sg, _ := core.Build(g, tau, core.VariantAfforest, 2)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantAfforest, 2, nil)
 	// Recompute the expected superedge set by scanning all triangles.
 	type pair struct{ a, b int32 }
 	want := map[pair]bool{}
@@ -209,7 +209,7 @@ func TestBowtieSeparateSupernodes(t *testing.T) {
 	g := gen.TwoTriangles()
 	tau := buildTau(t, g)
 	for _, variant := range core.Variants {
-		sg, _ := core.Build(g, tau, variant, 2)
+		sg, _, _ := core.BuildCtx(nil, g, tau, variant, 2, nil)
 		if sg.NumSupernodes() != 2 {
 			t.Fatalf("%s: supernodes = %d, want 2", variant, sg.NumSupernodes())
 		}
@@ -223,7 +223,7 @@ func TestTriangleFreeGraphHasEmptyIndex(t *testing.T) {
 	g := gen.Cycle(12)
 	tau := buildTau(t, g)
 	for _, variant := range core.Variants {
-		sg, _ := core.Build(g, tau, variant, 2)
+		sg, _, _ := core.BuildCtx(nil, g, tau, variant, 2, nil)
 		if sg.NumSupernodes() != 0 || sg.NumSuperedges() != 0 {
 			t.Fatalf("%s: cycle produced %v", variant, sg)
 		}
@@ -241,7 +241,7 @@ func TestSharedVertexHighTrussSeparation(t *testing.T) {
 	// and a τ=2 bridge — no superedges at all.
 	g := gen.BridgedCliques(5)
 	tau := buildTau(t, g)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, 2)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantCOptimal, 2, nil)
 	if sg.NumSupernodes() != 2 {
 		t.Fatalf("supernodes = %d, want 2", sg.NumSupernodes())
 	}
@@ -258,7 +258,7 @@ func TestTimingsAccounting(t *testing.T) {
 	g := gen.PlantedPartition(6, 8, 0.7, 1.0, 31)
 	tau := buildTau(t, g)
 	for _, variant := range core.ParallelVariants {
-		_, tm := core.Build(g, tau, variant, 2)
+		_, tm, _ := core.BuildCtx(nil, g, tau, variant, 2, nil)
 		if tm.IndexTotal() <= 0 {
 			t.Fatalf("%s: IndexTotal = %v", variant, tm.IndexTotal())
 		}
@@ -279,7 +279,7 @@ func TestBuildPanicsOnBadTau(t *testing.T) {
 			t.Fatal("mismatched tau accepted")
 		}
 	}()
-	core.Build(g, []int32{3}, core.VariantCOptimal, 1)
+	core.BuildCtx(nil, g, []int32{3}, core.VariantCOptimal, 1, nil)
 }
 
 func TestVariantString(t *testing.T) {
@@ -305,7 +305,7 @@ func TestVariantString(t *testing.T) {
 func TestEmptyGraphIndex(t *testing.T) {
 	g, _ := graph.FromEdgeList(nil, 3)
 	for _, variant := range core.Variants {
-		sg, _ := core.Build(g, nil, variant, 2)
+		sg, _, _ := core.BuildCtx(nil, g, nil, variant, 2, nil)
 		if sg.NumSupernodes() != 0 || sg.NumSuperedges() != 0 {
 			t.Fatalf("%s: empty graph produced %v", variant, sg)
 		}

@@ -16,7 +16,7 @@ import (
 func buildTau(t testing.TB, g *graph.Graph) []int32 {
 	t.Helper()
 	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
+	tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
 	return tau
 }
 
@@ -51,7 +51,7 @@ func TestPaperFigure3(t *testing.T) {
 	for _, variant := range core.Variants {
 		variant := variant
 		t.Run(variant.String(), func(t *testing.T) {
-			sg, _ := core.Build(g, tau, variant, 2)
+			sg, _, _ := core.BuildCtx(nil, g, tau, variant, 2, nil)
 			if err := sg.Validate(g); err != nil {
 				t.Fatalf("invalid index: %v", err)
 			}

@@ -38,7 +38,7 @@ func spEdgeFlat(ctx context.Context, g *graph.Graph, tau, pi []int32, threads in
 	}
 	m := int(g.NumEdges())
 	spEdges := make([][]uint64, threads)
-	err := concur.ForThreadsCtxT(ctx, tr, "SpEdge", threads, func(tid int) {
+	err := concur.ForThreads(ctx, tr, "SpEdge", threads, func(tid int) {
 		lo := tid * m / threads
 		hi := (tid + 1) * m / threads
 		var local []uint64
@@ -84,7 +84,7 @@ func spEdgeBaseline(ctx context.Context, g *graph.Graph, tau, pi []int32, dict e
 	m := int(g.NumEdges())
 	edges := g.Edges()
 	spEdges := make([][]uint64, threads)
-	err := concur.ForThreadsCtxT(ctx, tr, "SpEdge", threads, func(tid int) {
+	err := concur.ForThreads(ctx, tr, "SpEdge", threads, func(tid int) {
 		lo := tid * m / threads
 		hi := (tid + 1) * m / threads
 		var local []uint64
@@ -145,7 +145,7 @@ func smGraphMerge(ctx context.Context, spEdges [][]uint64, threads int, tr *obs.
 	nsrc := len(spEdges)
 	// ln. 6–11: each source thread buckets its superedges by destination.
 	partitioned := make([][][]uint64, nsrc)
-	if err := concur.ForThreadsCtxT(ctx, tr, "SmGraph", nsrc, func(src int) {
+	if err := concur.ForThreads(ctx, tr, "SmGraph", nsrc, func(src int) {
 		buckets := make([][]uint64, threads)
 		for _, p := range spEdges[src] {
 			d := int((p * 0x9E3779B97F4A7C15 >> 33) % uint64(threads))
@@ -158,7 +158,7 @@ func smGraphMerge(ctx context.Context, spEdges [][]uint64, threads int, tr *obs.
 	// ln. 13–16: each destination combines, sorts, removes duplicates.
 	combined := make([][]uint64, threads)
 	var deduped int64
-	if err := concur.ForThreadsCtxT(ctx, tr, "SmGraph", threads, func(dst int) {
+	if err := concur.ForThreads(ctx, tr, "SmGraph", threads, func(dst int) {
 		var all []uint64
 		for src := 0; src < nsrc; src++ {
 			all = append(all, partitioned[src][dst]...)
@@ -187,7 +187,7 @@ func smGraphMerge(ctx context.Context, spEdges [][]uint64, threads int, tr *obs.
 		total += int64(len(combined[d]))
 	}
 	final := make([]uint64, total)
-	if err := concur.ForThreadsCtxT(ctx, tr, "SmGraph", threads, func(dst int) {
+	if err := concur.ForThreads(ctx, tr, "SmGraph", threads, func(dst int) {
 		copy(final[offsets[dst]:], combined[dst])
 	}); err != nil {
 		return nil, err

@@ -68,7 +68,7 @@ func spNodeBaseline(ctx context.Context, g *graph.Graph, tau []int32, dict edgeD
 	m := int32(g.NumEdges())
 	pi := ds.NewShardedMap(int(m))
 	// Each edge initially forms its own component (ln. 1–2).
-	if err := concur.ForCtxT(ctx, tr, "SpNode", int(m), threads, func(i int) {
+	if err := concur.For(ctx, tr, "SpNode", int(m), threads, func(i int) {
 		if tau[i] >= MinK {
 			pi.Store(int64(i), int32(i))
 		}
@@ -86,7 +86,7 @@ func spNodeBaseline(ctx context.Context, g *graph.Graph, tau []int32, dict edgeD
 			hooking = 0
 			// Hooking phase (ln. 10–20).
 			cSVHookRounds.Inc()
-			err := concur.ForRangeDynamicCtxT(ctx, tr, "SpNode", len(edgesK), threads, 256, func(lo, hi int) {
+			err := concur.ForRangeDynamic(ctx, tr, "SpNode", len(edgesK), threads, 256, func(lo, hi int) {
 				localHook := false
 				for i := lo; i < hi; i++ {
 					e := edgesK[i]
@@ -131,7 +131,7 @@ func spNodeBaseline(ctx context.Context, g *graph.Graph, tau []int32, dict edgeD
 			}
 			// Shortcut phase (ln. 21–23).
 			cSVShortcutRounds.Inc()
-			if err := concur.ForRangeDynamicCtxT(ctx, tr, "SpNode", len(edgesK), threads, 512, func(lo, hi int) {
+			if err := concur.ForRangeDynamic(ctx, tr, "SpNode", len(edgesK), threads, 512, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					e := int64(edgesK[i])
 					for {
@@ -150,7 +150,7 @@ func spNodeBaseline(ctx context.Context, g *graph.Graph, tau []int32, dict edgeD
 	}
 	// Materialize the final flat Π for the downstream kernels.
 	out := make([]int32, m)
-	if err := concur.ForCtxT(ctx, tr, "SpNode", int(m), threads, func(i int) {
+	if err := concur.For(ctx, tr, "SpNode", int(m), threads, func(i int) {
 		if tau[i] < MinK {
 			out[i] = NoSupernode
 			return
@@ -214,7 +214,7 @@ func max32(a, b int32) int32 {
 func spNodeCOptimal(ctx context.Context, g *graph.Graph, tau []int32, phi [][]int32, threads int, tr *obs.Trace) ([]int32, error) {
 	m := int32(g.NumEdges())
 	pi := make([]int32, m)
-	if err := concur.ForCtxT(ctx, tr, "SpNode", int(m), threads, func(i int) {
+	if err := concur.For(ctx, tr, "SpNode", int(m), threads, func(i int) {
 		if tau[i] >= MinK {
 			pi[i] = int32(i)
 		} else {
@@ -232,7 +232,7 @@ func spNodeCOptimal(ctx context.Context, g *graph.Graph, tau []int32, phi [][]in
 		for hooking != 0 {
 			hooking = 0
 			cSVHookRounds.Inc()
-			err := concur.ForRangeDynamicCtxT(ctx, tr, "SpNode", len(edgesK), threads, 256, func(lo, hi int) {
+			err := concur.ForRangeDynamic(ctx, tr, "SpNode", len(edgesK), threads, 256, func(lo, hi int) {
 				localHook := false
 				for i := lo; i < hi; i++ {
 					e := edgesK[i]
@@ -255,7 +255,7 @@ func spNodeCOptimal(ctx context.Context, g *graph.Graph, tau []int32, phi [][]in
 				return nil, err
 			}
 			cSVShortcutRounds.Inc()
-			if err := concur.ForRangeDynamicCtxT(ctx, tr, "SpNode", len(edgesK), threads, 512, func(lo, hi int) {
+			if err := concur.ForRangeDynamic(ctx, tr, "SpNode", len(edgesK), threads, 512, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					e := edgesK[i]
 					for {
@@ -297,7 +297,7 @@ func svHookFlat(pi []int32, e, e1 int32) bool {
 
 // flattenPi points every τ>=3 edge at its component root.
 func flattenPi(ctx context.Context, pi []int32, tau []int32, threads int) error {
-	return concur.ForCtx(ctx, len(pi), threads, func(i int) {
+	return concur.For(ctx, nil, "", len(pi), threads, func(i int) {
 		if tau[i] < MinK {
 			return
 		}
@@ -339,7 +339,7 @@ func spNodeAfforest(ctx context.Context, g *graph.Graph, tau []int32, threads in
 	cuf := ds.NewConcurrentUnionFind(int(m))
 	// Link rounds over the r-th valid partner of each edge.
 	for r := 0; r < afforestNeighborRounds; r++ {
-		err := concur.ForRangeDynamicCtxT(ctx, tr, "SpNode", int(m), threads, 512, func(lo, hi int) {
+		err := concur.ForRangeDynamic(ctx, tr, "SpNode", int(m), threads, 512, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				e := int32(i)
 				k := tau[e]
@@ -377,7 +377,7 @@ func spNodeAfforest(ctx context.Context, g *graph.Graph, tau []int32, threads in
 	dominant := sampleDominant(cuf, tau, m)
 	// Finalization: exhaustively link everything outside the dominant
 	// component, skipping the (typically large) fraction already settled.
-	err := concur.ForRangeDynamicCtxT(ctx, tr, "SpNode", int(m), threads, 512, func(lo, hi int) {
+	err := concur.ForRangeDynamic(ctx, tr, "SpNode", int(m), threads, 512, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e := int32(i)
 			k := tau[e]
@@ -405,7 +405,7 @@ func spNodeAfforest(ctx context.Context, g *graph.Graph, tau []int32, threads in
 		return nil, err
 	}
 	pi := make([]int32, m)
-	if err := concur.ForCtxT(ctx, tr, "SpNode", int(m), threads, func(i int) {
+	if err := concur.For(ctx, tr, "SpNode", int(m), threads, func(i int) {
 		if tau[i] < MinK {
 			pi[i] = NoSupernode
 		} else {
@@ -420,7 +420,7 @@ func spNodeAfforest(ctx context.Context, g *graph.Graph, tau []int32, threads in
 
 // compressAll path-compresses every element (parallel Find pass).
 func compressAll(ctx context.Context, cuf *ds.ConcurrentUnionFind, threads int) error {
-	return concur.ForCtx(ctx, cuf.Len(), threads, func(i int) {
+	return concur.For(ctx, nil, "", cuf.Len(), threads, func(i int) {
 		cuf.Find(int32(i))
 	})
 }

@@ -24,7 +24,7 @@ import (
 func spNodeLabelProp(ctx context.Context, g *graph.Graph, tau []int32, threads int, tr *obs.Trace) ([]int32, error) {
 	m := int32(g.NumEdges())
 	pi := make([]int32, m)
-	if err := concur.ForCtxT(ctx, tr, "SpNode", int(m), threads, func(i int) {
+	if err := concur.For(ctx, tr, "SpNode", int(m), threads, func(i int) {
 		if tau[i] >= MinK {
 			pi[i] = int32(i)
 		} else {
@@ -36,7 +36,7 @@ func spNodeLabelProp(ctx context.Context, g *graph.Graph, tau []int32, threads i
 	changed := int32(1)
 	for changed != 0 {
 		changed = 0
-		err := concur.ForRangeDynamicCtxT(ctx, tr, "SpNode", int(m), threads, 512, func(lo, hi int) {
+		err := concur.ForRangeDynamic(ctx, tr, "SpNode", int(m), threads, 512, func(lo, hi int) {
 			local := false
 			for i := lo; i < hi; i++ {
 				e := int32(i)
@@ -107,7 +107,7 @@ func spNodeBFS(ctx context.Context, g *graph.Graph, tau []int32, threads int, tr
 		frontier = append(frontier[:0], seed)
 		for len(frontier) > 0 {
 			bufs := make([][]int32, threads)
-			err := concur.ForThreadsCtxT(ctx, tr, "SpNode", threads, func(tid int) {
+			err := concur.ForThreads(ctx, tr, "SpNode", threads, func(tid int) {
 				lo := tid * len(frontier) / threads
 				hi := (tid + 1) * len(frontier) / threads
 				var buf []int32

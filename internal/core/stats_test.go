@@ -12,7 +12,7 @@ import (
 func TestComputeStatsFigure3(t *testing.T) {
 	g := gen.PaperFigure3()
 	tau := buildTau(t, g)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, 2)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantCOptimal, 2, nil)
 	st := sg.ComputeStats()
 	if st.Supernodes != 5 || st.Superedges != 6 {
 		t.Fatalf("stats = %+v", st)
@@ -43,7 +43,7 @@ func TestComputeStatsFigure3(t *testing.T) {
 func TestComputeStatsWithTau2Edges(t *testing.T) {
 	g := gen.BridgedCliques(5) // bridge edge has τ=2
 	tau := buildTau(t, g)
-	sg, _ := core.Build(g, tau, core.VariantAfforest, 2)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantAfforest, 2, nil)
 	st := sg.ComputeStats()
 	if st.Tau2Edges != 1 {
 		t.Fatalf("tau2 edges = %d, want 1 (the bridge)", st.Tau2Edges)
@@ -56,7 +56,7 @@ func TestComputeStatsWithTau2Edges(t *testing.T) {
 func TestComputeStatsEmpty(t *testing.T) {
 	g := gen.Path(5)
 	tau := buildTau(t, g)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, 1)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantCOptimal, 1, nil)
 	st := sg.ComputeStats()
 	if st.Supernodes != 0 || st.MeanSupernodeSize != 0 {
 		t.Fatalf("stats = %+v", st)
@@ -85,8 +85,8 @@ func TestAfforestDominantSkip(t *testing.T) {
 		t.Fatal(err)
 	}
 	tau := buildTau(t, g)
-	want, _ := core.BuildSerial(g, tau)
-	got, _ := core.Build(g, tau, core.VariantAfforest, 2)
+	want, _, _ := core.BuildCtx(nil, g, tau, core.VariantSerial, 1, nil)
+	got, _, _ := core.BuildCtx(nil, g, tau, core.VariantAfforest, 2, nil)
 	if err := got.Validate(g); err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func TestAblationVariantsOnEmptyAndTiny(t *testing.T) {
 	for _, variant := range core.AblationVariants {
 		g := gen.PaperFigure3()
 		tau := buildTau(t, g)
-		sg, tm := core.Build(g, tau, variant, 2)
+		sg, tm, _ := core.BuildCtx(nil, g, tau, variant, 2, nil)
 		if err := sg.Validate(g); err != nil {
 			t.Fatalf("%s: %v", variant, err)
 		}

@@ -37,7 +37,7 @@ func TestBatchChurnOnSurrogatesMatchesOracle(t *testing.T) {
 			t.Skipf("%s too large for -short", s.name)
 		}
 		sup := triangle.Supports(g, 1)
-		tau, _ := truss.DecomposeSerial(g, sup)
+		tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
 		dg := FromStatic(g, tau)
 		assertExact(t, dg, s.name+" import")
 		rnd := rand.New(rand.NewSource(int64(len(s.name))))

@@ -346,7 +346,7 @@ func (dg *Graph) lowerToFixpoint(pending map[uint64]int32) {
 }
 
 // ToStatic exports the current graph and trussness as a CSR graph plus a
-// tau array aligned with its edge IDs — ready for core.Build to construct
+// tau array aligned with its edge IDs — ready for core.BuildCtx to construct
 // a fresh index.
 func (dg *Graph) ToStatic() (*graph.Graph, []int32, error) {
 	edges := make([]graph.Edge, 0, dg.m)

@@ -20,7 +20,7 @@ func oracleTau(t testing.TB, dg *Graph) map[uint64]int32 {
 		t.Fatal(err)
 	}
 	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
+	tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
 	out := make(map[uint64]int32)
 	for eid, e := range g.Edges() {
 		out[pack(e.U, e.V)] = tau[eid]
@@ -63,7 +63,7 @@ func TestInsertBuildUpClique(t *testing.T) {
 func TestDeleteTearDownClique(t *testing.T) {
 	g := gen.Clique(6)
 	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
+	tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
 	dg := FromStatic(g, tau)
 	for _, e := range g.Edges() {
 		if !dg.DeleteEdge(e.U, e.V) {
@@ -133,7 +133,7 @@ func TestRandomChurnMatchesOracle(t *testing.T) {
 			return false
 		}
 		sup := triangle.Supports(g, 1)
-		tau, _ := truss.DecomposeSerial(g, sup)
+		tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
 		dg = FromStatic(g, tau)
 		for op := 0; op < 40; op++ {
 			u := int32(rnd.Intn(int(n)))
@@ -179,7 +179,7 @@ func TestChurnOnStructuredGraphs(t *testing.T) {
 	}
 	for name, g := range graphs {
 		sup := triangle.Supports(g, 1)
-		tau, _ := truss.DecomposeSerial(g, sup)
+		tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
 		dg := FromStatic(g, tau)
 		assertExact(t, dg, name+" import")
 		rnd := rand.New(rand.NewSource(99))
@@ -231,7 +231,7 @@ func TestInsertTriangleClosesSupernode(t *testing.T) {
 func TestDeletionCascade(t *testing.T) {
 	g := gen.Clique(7)
 	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
+	tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
 	dg := FromStatic(g, tau)
 	dg.DeleteEdge(0, 1)
 	// K7 minus an edge: edges not touching {0,1} keep ... oracle decides.

@@ -14,7 +14,7 @@ func cliqueDyn(t *testing.T, n int32) *Graph {
 	t.Helper()
 	g := gen.Clique(n)
 	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
+	tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
 	return FromStatic(g, tau)
 }
 

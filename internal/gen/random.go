@@ -21,7 +21,7 @@ func RMAT(scale, edgeFactor int, a, b, c float64, seed uint64) *graph.Graph {
 	for t := range streams {
 		streams[t] = base.split()
 	}
-	concur.ForThreads(threads, func(tid int) {
+	concur.ForThreads(nil, nil, "", threads, func(tid int) {
 		r := streams[tid]
 		lo := int64(tid) * target / int64(threads)
 		hi := int64(tid+1) * target / int64(threads)

@@ -23,8 +23,8 @@ func testSummaryGraph(t testing.TB) *core.SummaryGraph {
 	t.Helper()
 	g := gen.PaperFigure3()
 	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, 1)
+	tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantCOptimal, 1, nil)
 	return sg
 }
 

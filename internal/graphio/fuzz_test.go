@@ -57,8 +57,8 @@ func FuzzReadBinaryIndex(f *testing.F) {
 	{
 		g := gen.PaperFigure3()
 		sup := triangle.Supports(g, 1)
-		tau, _ := truss.DecomposeSerial(g, sup)
-		sg, _ := core.Build(g, tau, core.VariantCOptimal, 1)
+		tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
+		sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantCOptimal, 1, nil)
 		var buf bytes.Buffer
 		if err := WriteBinaryIndex(&buf, sg); err != nil {
 			f.Fatal(err)
@@ -126,8 +126,8 @@ func FuzzReadBinaryIndex(f *testing.F) {
 func FuzzReadV3Index(f *testing.F) {
 	g := gen.PaperFigure3()
 	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, 1)
+	tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantCOptimal, 1, nil)
 	var buf bytes.Buffer
 	if err := WriteBinaryIndexV3(&buf, sg); err != nil {
 		f.Fatal(err)

@@ -136,8 +136,8 @@ func TestBinaryGraphBadMagic(t *testing.T) {
 func TestBinaryIndexRoundTrip(t *testing.T) {
 	g := gen.PaperFigure3()
 	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, 2)
+	tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantCOptimal, 2, nil)
 
 	var buf bytes.Buffer
 	if err := WriteBinaryIndex(&buf, sg); err != nil {
@@ -177,8 +177,8 @@ func TestBinaryIndexCorruptIDs(t *testing.T) {
 	base := func() *core.SummaryGraph {
 		g := gen.Clique(5)
 		sup := triangle.Supports(g, 1)
-		tau, _ := truss.DecomposeSerial(g, sup)
-		sg, _ := core.Build(g, tau, core.VariantCOptimal, 1)
+		tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
+		sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantCOptimal, 1, nil)
 		return sg
 	}
 	cases := []struct {
@@ -233,8 +233,8 @@ func TestBinaryIndexCorruptIDs(t *testing.T) {
 func TestBinaryIndexTruncated(t *testing.T) {
 	g := gen.Clique(4)
 	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, 1)
+	tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantCOptimal, 1, nil)
 	var buf bytes.Buffer
 	if err := WriteBinaryIndex(&buf, sg); err != nil {
 		t.Fatal(err)
@@ -264,8 +264,8 @@ var _ = graph.Edge{} // keep the import used if assertions above change
 func TestWriteSummaryDOT(t *testing.T) {
 	g := gen.PaperFigure3()
 	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, 2)
+	tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantCOptimal, 2, nil)
 	var buf bytes.Buffer
 	if err := WriteSummaryDOT(&buf, sg); err != nil {
 		t.Fatal(err)
@@ -285,7 +285,7 @@ func TestWriteSummaryDOT(t *testing.T) {
 func TestWriteGraphDOT(t *testing.T) {
 	g := gen.Clique(3)
 	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
+	tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
 	var buf bytes.Buffer
 	if err := WriteGraphDOT(&buf, g, tau); err != nil {
 		t.Fatal(err)

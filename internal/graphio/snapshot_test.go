@@ -15,7 +15,7 @@ func testSnapshot(t *testing.T) *Snapshot {
 	t.Helper()
 	g := gen.RMAT(8, 6, 0.57, 0.19, 0.19, 7)
 	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
+	tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
 	return &Snapshot{G: g, Tau: tau, Seq: 42}
 }
 

@@ -90,7 +90,7 @@ func (v VerifyMode) String() string {
 	return "eager"
 }
 
-// IndexFormat selects the on-disk layout an index writer emits.
+// IndexFormat names an on-disk index layout (see SniffIndexFormat).
 type IndexFormat int
 
 const (
@@ -101,17 +101,6 @@ const (
 	// mmap.
 	FormatV3 IndexFormat = 3
 )
-
-// ParseIndexFormat parses a -format flag value (v2|v3).
-func ParseIndexFormat(s string) (IndexFormat, error) {
-	switch s {
-	case "v2":
-		return FormatV2, nil
-	case "v3":
-		return FormatV3, nil
-	}
-	return 0, fmt.Errorf("graphio: unknown index format %q (want v2|v3)", s)
-}
 
 func (f IndexFormat) String() string {
 	if f == FormatV2 {
@@ -210,23 +199,6 @@ func WriteBinaryIndexFileV3(path string, sg *core.SummaryGraph) error {
 	return AtomicWriteFile(path, func(w io.Writer) error {
 		return WriteBinaryIndexV3(w, sg)
 	})
-}
-
-// WriteBinaryIndexFormat writes sg in the selected layout.
-func WriteBinaryIndexFormat(w io.Writer, sg *core.SummaryGraph, f IndexFormat) error {
-	if f == FormatV3 {
-		return WriteBinaryIndexV3(w, sg)
-	}
-	return WriteBinaryIndex(w, sg)
-}
-
-// WriteBinaryIndexFileFormat atomically writes sg to path in the selected
-// layout.
-func WriteBinaryIndexFileFormat(path string, sg *core.SummaryGraph, f IndexFormat) error {
-	if f == FormatV3 {
-		return WriteBinaryIndexFileV3(path, sg)
-	}
-	return WriteBinaryIndexFile(path, sg)
 }
 
 // parseV3Header validates a v3 header image: magic, version, header CRC,
@@ -363,12 +335,14 @@ func v3SummaryGraph(data []byte, h *v3Header) (*core.SummaryGraph, error) {
 // read-only and the summary graph's arrays alias the mapping (recorded in
 // SummaryGraph.Backing, which keeps the mapping alive — see mmapio). The
 // header is always CRC-verified before any offset is trusted, ValidateLoaded
-// always runs before the index is returned, and section checksums are
+// always runs before the index is returned, an index whose edge count is
+// not edges (the graph it must serve) is rejected before any background
+// work starts, and section checksums are
 // verified per mode: up front (VerifyEager) or in a background goroutine
 // whose finding surfaces through the returned Mapping's VerifyErr
 // (VerifyLazy). Only little-endian hosts can load zero-copy; use
 // ReadBinaryIndexFile — which auto-detects v3 — elsewhere.
-func MapIndexFile(path string, mode VerifyMode) (*core.SummaryGraph, *mmapio.Mapping, error) {
+func MapIndexFile(path string, edges int64, mode VerifyMode) (*core.SummaryGraph, *mmapio.Mapping, error) {
 	if err := injectRead(); err != nil {
 		return nil, nil, err
 	}
@@ -401,6 +375,9 @@ func MapIndexFile(path string, mode VerifyMode) (*core.SummaryGraph, *mmapio.Map
 	sg, err := v3SummaryGraph(data, h)
 	if err != nil {
 		return fail(err)
+	}
+	if int64(len(sg.Tau)) != edges {
+		return fail(fmt.Errorf("graphio: %s: index built for %d edges, graph has %d", path, len(sg.Tau), edges))
 	}
 	sg.Backing = m
 	if err := sg.ValidateLoaded(); err != nil {

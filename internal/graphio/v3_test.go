@@ -23,8 +23,8 @@ import (
 func buildTestIndex(t testing.TB, g *graph.Graph) *core.SummaryGraph {
 	t.Helper()
 	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, 1)
+	tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantCOptimal, 1, nil)
 	return sg
 }
 
@@ -83,7 +83,7 @@ func TestV3MmapMatchesStream(t *testing.T) {
 			t.Fatalf("%s: stream decode: %v", name, err)
 		}
 		for _, mode := range []VerifyMode{VerifyEager, VerifyLazy} {
-			mapped, m, err := MapIndexFile(path, mode)
+			mapped, m, err := MapIndexFile(path, g.NumEdges(), mode)
 			if err != nil {
 				t.Fatalf("%s: mmap %v: %v", name, mode, err)
 			}
@@ -141,7 +141,7 @@ func TestV3AnyByteFlipDetected(t *testing.T) {
 		if err := os.WriteFile(path, flipped, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := MapIndexFile(path, VerifyEager); err == nil {
+		if _, _, err := MapIndexFile(path, g.NumEdges(), VerifyEager); err == nil {
 			t.Fatalf("eager mmap load accepted a flip at byte %d", pos)
 		}
 		// The stream decoder must reject the same flip (it may classify a
@@ -170,11 +170,11 @@ func TestV3LazyVerifyCatchesSectionFlip(t *testing.T) {
 	if err := os.WriteFile(path, flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := MapIndexFile(path, VerifyEager); err == nil ||
+	if _, _, err := MapIndexFile(path, g.NumEdges(), VerifyEager); err == nil ||
 		!strings.Contains(err.Error(), "tau section checksum") {
 		t.Fatalf("eager load error = %v, want tau section checksum mismatch", err)
 	}
-	_, m, err := MapIndexFile(path, VerifyLazy)
+	_, m, err := MapIndexFile(path, g.NumEdges(), VerifyLazy)
 	if err != nil {
 		t.Fatalf("lazy load rejected a structurally valid flip up front: %v", err)
 	}
@@ -199,7 +199,7 @@ func TestV3Truncated(t *testing.T) {
 		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := MapIndexFile(path, VerifyEager); err == nil {
+		if _, _, err := MapIndexFile(path, g.NumEdges(), VerifyEager); err == nil {
 			t.Fatalf("mmap load accepted a %d-byte prefix of %d", cut, len(raw))
 		}
 		if _, err := ReadBinaryIndex(bytes.NewReader(raw[:cut])); err == nil {
@@ -232,7 +232,7 @@ func TestV3MisalignedOffsetRejected(t *testing.T) {
 		if err := os.WriteFile(path, forged, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := MapIndexFile(path, VerifyEager); err == nil {
+		if _, _, err := MapIndexFile(path, g.NumEdges(), VerifyEager); err == nil {
 			t.Fatalf("mmap load accepted tau offset shifted by %d", delta)
 		} else if !strings.Contains(err.Error(), "canonical layout") &&
 			!strings.Contains(err.Error(), "file size") {
@@ -371,11 +371,11 @@ func TestSniffIndexFormat(t *testing.T) {
 	sg := buildTestIndex(t, g)
 	dir := t.TempDir()
 	v2 := filepath.Join(dir, "i.v2")
-	if err := WriteBinaryIndexFileFormat(v2, sg, FormatV2); err != nil {
+	if err := WriteBinaryIndexFile(v2, sg); err != nil {
 		t.Fatal(err)
 	}
 	v3 := filepath.Join(dir, "i.v3")
-	if err := WriteBinaryIndexFileFormat(v3, sg, FormatV3); err != nil {
+	if err := WriteBinaryIndexFileV3(v3, sg); err != nil {
 		t.Fatal(err)
 	}
 	if f, err := SniffIndexFormat(v2); err != nil || f != FormatV2 {
@@ -390,14 +390,8 @@ func TestSniffIndexFormat(t *testing.T) {
 }
 
 func TestParseFlagHelpers(t *testing.T) {
-	if f, err := ParseIndexFormat("v3"); err != nil || f != FormatV3 || f.String() != "v3" {
-		t.Fatalf("ParseIndexFormat v3 = %v, %v", f, err)
-	}
-	if f, err := ParseIndexFormat("v2"); err != nil || f != FormatV2 || f.String() != "v2" {
-		t.Fatalf("ParseIndexFormat v2 = %v, %v", f, err)
-	}
-	if _, err := ParseIndexFormat("v9"); err == nil {
-		t.Fatal("ParseIndexFormat accepted v9")
+	if FormatV3.String() != "v3" || FormatV2.String() != "v2" {
+		t.Fatalf("format names = %v, %v", FormatV3, FormatV2)
 	}
 	if m, err := ParseVerifyMode("lazy"); err != nil || m != VerifyLazy || m.String() != "lazy" {
 		t.Fatalf("ParseVerifyMode lazy = %v, %v", m, err)

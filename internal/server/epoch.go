@@ -1,6 +1,8 @@
 package server
 
 import (
+	"errors"
+	"fmt"
 	"net/http"
 
 	"equitruss/internal/community"
@@ -53,16 +55,37 @@ func (s *Server) Publish(idx *community.Index, seq uint64) uint64 {
 	return num
 }
 
-// handleReadyz is the readiness probe: 200 only once an index epoch is
-// published — meaning any snapshot was loaded and the WAL replayed through
-// the initial build. Distinct from /healthz (liveness): a recovering server
-// is alive but not ready, and an orchestrator should route traffic only on
-// readiness. Registered outside the admission limiter so probes keep
-// passing under query overload.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+var errNotReady = errors.New("index not ready")
+
+// ready returns the epoch queries may answer from, or why there is none: no
+// epoch is published yet, or the published index's file mapping failed its
+// deferred (lazy) checksum verification. Serving fails closed on the
+// latter — a corrupt mapping must not answer — so /readyz and every query
+// endpoint gate on this one check.
+func (s *Server) ready() (*epoch, error) {
 	ep := s.epoch()
 	if ep == nil {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false})
+		return nil, errNotReady
+	}
+	if b, ok := ep.idx.SG.Backing.(interface{ VerifyErr() error }); ok {
+		if err := b.VerifyErr(); err != nil {
+			return nil, fmt.Errorf("%w: %v", errNotReady, err)
+		}
+	}
+	return ep, nil
+}
+
+// handleReadyz is the readiness probe: 200 only once an index epoch is
+// published — meaning any snapshot was loaded and the WAL replayed through
+// the initial build — and its backing file has not failed verification.
+// Distinct from /healthz (liveness): a recovering server is alive but not
+// ready, and an orchestrator should route traffic only on readiness.
+// Registered outside the admission limiter so probes keep passing under
+// query overload.
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	ep, err := s.ready()
+	if err != nil {
+		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "error": err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{

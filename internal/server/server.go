@@ -465,9 +465,9 @@ func (s *Server) handleCommunity(w http.ResponseWriter, r *http.Request) {
 		failf(http.StatusBadRequest, "bad k: %v", errK)
 		return
 	}
-	ep := s.epoch()
-	if ep == nil {
-		failf(http.StatusServiceUnavailable, "index not ready")
+	ep, err := s.ready()
+	if err != nil {
+		failf(http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	if v < 0 || v >= ep.idx.G.NumVertices() {
@@ -525,9 +525,9 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 		failf(http.StatusBadRequest, "bad v: %v", err)
 		return
 	}
-	ep := s.epoch()
-	if ep == nil {
-		failf(http.StatusServiceUnavailable, "index not ready")
+	ep, err := s.ready()
+	if err != nil {
+		failf(http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	if v < 0 || v >= ep.idx.G.NumVertices() {
@@ -604,9 +604,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		failf(http.StatusRequestEntityTooLarge, "batch of %d exceeds limit %d", len(req.Queries), s.maxBatch)
 		return
 	}
-	ep := s.epoch()
-	if ep == nil {
-		failf(http.StatusServiceUnavailable, "index not ready")
+	ep, err := s.ready()
+	if err != nil {
+		failf(http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	n := ep.idx.G.NumVertices()
@@ -708,6 +708,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"index_load_seconds": s.indexLoadSeconds,
 		"mmap_bytes":         s.mmapBytes,
 	}
+	// Read the applier's sequences before the epoch: the applier publishes
+	// an epoch before advancing appliedSeq, so the epoch loaded afterwards
+	// reflects at least the reported applied_seq, and a client that waits
+	// for applied_seq >= N always sees checksums of state N or later.
+	var acked, applied uint64
+	if m := s.live; m != nil {
+		acked, applied = m.ackedSeq.Load(), m.appliedSeq.Load()
+	}
 	if ep := s.epoch(); ep != nil {
 		doc["epoch"] = ep.num
 		doc["applied_seq"] = ep.seq
@@ -725,7 +733,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		doc["epoch"] = 0
 	}
 	if m := s.live; m != nil {
-		acked, applied := m.ackedSeq.Load(), m.appliedSeq.Load()
 		doc["acked_seq"] = acked
 		doc["applied_seq"] = applied
 		doc["staleness"] = acked - applied

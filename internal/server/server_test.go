@@ -28,8 +28,8 @@ func buildTestIndex(t testing.TB) (*community.Index, []int32) {
 	t.Helper()
 	g := gen.RMAT(8, 6, 0.57, 0.19, 0.19, 42)
 	sup := triangle.Supports(g, 0)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.BuildTraced(g, tau, core.VariantCOptimal, 0, nil)
+	tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantCOptimal, 0, nil)
 	return community.NewIndex(g, sg), tau
 }
 
@@ -513,8 +513,8 @@ func TestCachePurgeBelow(t *testing.T) {
 func TestPublishPurgesStaleCacheEntries(t *testing.T) {
 	g := gen.Clique(5)
 	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, 1)
+	tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantCOptimal, 1, nil)
 	s := New(community.NewIndex(g, sg), Config{CacheSize: 16})
 	ep := s.epoch().num
 	s.cache.Put(ep, 0, 5, nil)

@@ -31,8 +31,8 @@ func newLiveServer(t *testing.T, scale string, mutate func(*LiveConfig)) (*Serve
 		g = gen.RMAT(8, 6, 0.57, 0.19, 0.19, 42)
 	}
 	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantSerial, 1)
+	tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantSerial, 1, nil)
 	w, err := wal.Open(filepath.Join(t.TempDir(), "wal.log"), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -343,8 +343,8 @@ func TestReadyzGating(t *testing.T) {
 func TestUpdateRecoveryDifferential(t *testing.T) {
 	g := gen.RMAT(8, 6, 0.57, 0.19, 0.19, 42)
 	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantSerial, 1)
+	tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantSerial, 1, nil)
 	walPath := filepath.Join(t.TempDir(), "wal.log")
 	w, err := wal.Open(walPath, wal.Options{})
 	if err != nil {
@@ -395,7 +395,7 @@ func TestUpdateRecoveryDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sg2, _ := core.Build(g2, tau2, core.VariantSerial, 1)
+	sg2, _, _ := core.BuildCtx(nil, g2, tau2, core.VariantSerial, 1, nil)
 	got := community.NewIndex(g2, sg2).Checksums()
 	for layer, want := range map[string]uint64{
 		"tau": got.Tau, "summary": got.Summary, "hierarchy": got.Hierarchy,
@@ -593,8 +593,8 @@ func TestUpdateMetricsExposition(t *testing.T) {
 func TestEnableUpdatesRejectsUnknownMode(t *testing.T) {
 	g := gen.Clique(5)
 	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantSerial, 1)
+	tau, _, _ := truss.DecomposeSerialCtx(nil, g, sup)
+	sg, _, _ := core.BuildCtx(nil, g, tau, core.VariantSerial, 1, nil)
 	w, err := wal.Open(filepath.Join(t.TempDir(), "wal.log"), wal.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"equitruss/internal/concur"
 	"equitruss/internal/graph"
 	"equitruss/internal/obs"
 )
@@ -105,23 +104,11 @@ func ChooseKernel(g *graph.Graph) Kernel {
 	return KernelMerge
 }
 
-// SupportsKernel computes per-edge supports with the selected kernel
-// (KernelAuto resolves per graph). Legacy form of SupportsKernelCtx: not
-// cancelable and excluded from fault injection, so it never fails.
-func SupportsKernel(g *graph.Graph, k Kernel, threads int) []int32 {
-	sup, err := SupportsKernelCtx(concur.WithoutFaults(context.Background()), g, k, threads, nil)
-	if err != nil {
-		// Unreachable: the context is non-cancelable and excluded from
-		// fault injection.
-		panic("triangle: " + err.Error())
-	}
-	return sup
-}
-
-// SupportsKernelCtx dispatches the Support stage to the selected kernel.
-// All kernels share the production contract — cancellation at chunk-claim
-// granularity, per-thread "Support" spans into tr, scheduler-barrier fault
-// sites — and produce bit-identical supports.
+// SupportsKernelCtx dispatches the Support stage to the selected kernel
+// (KernelAuto resolves per graph). All kernels share the production
+// contract — cancellation at chunk-claim granularity, per-thread "Support"
+// spans into tr, scheduler-barrier fault sites — and produce bit-identical
+// supports. With a nil ctx the call cannot fail (see package concur).
 func SupportsKernelCtx(ctx context.Context, g *graph.Graph, k Kernel, threads int, tr *obs.Trace) ([]int32, error) {
 	if k == KernelAuto {
 		k = ChooseKernel(g)

@@ -91,9 +91,9 @@ func TestKernelsAgreeOnAllDatasets(t *testing.T) {
 		graphs[spec.Name] = spec.Generate(0.01)
 	}
 	for name, g := range graphs {
-		want := SupportsKernel(g, KernelMerge, 3)
+		want, _ := SupportsKernelCtx(nil, g, KernelMerge, 3, nil)
 		for _, k := range []Kernel{KernelGalloping, KernelOriented, KernelAuto} {
-			got := SupportsKernel(g, k, 3)
+			got, _ := SupportsKernelCtx(nil, g, k, 3, nil)
 			if len(got) != len(want) {
 				t.Fatalf("%s/%v: %d supports, want %d", name, k, len(got), len(want))
 			}
@@ -117,7 +117,8 @@ func TestCountInvariant(t *testing.T) {
 	}
 	for _, k := range []Kernel{KernelMerge, KernelGalloping, KernelOriented} {
 		var sum int64
-		for _, s := range SupportsKernel(g, k, 2) {
+		sup, _ := SupportsKernelCtx(nil, g, k, 2, nil)
+		for _, s := range sup {
 			sum += int64(s)
 		}
 		if sum%3 != 0 {

@@ -28,7 +28,7 @@ const accArrayLimit = 1 << 26 // 64M entries = 256 MiB of int32
 // the merge kernel's grain so per-thread span items are comparable.
 const orientedGrain = 512
 
-// SupportsOriented computes per-edge supports with the compact-forward
+// SupportsOrientedCtx computes per-edge supports with the compact-forward
 // scheme behind the O(|E|^1.5) bound the paper cites: orient every edge
 // from lower to higher (degree, id) rank, enumerate each triangle exactly
 // once as an intersection of out-neighborhoods, and credit all three member
@@ -36,22 +36,7 @@ const orientedGrain = 512
 // shorter than hub adjacencies, so the kernel does far less intersection
 // work than the merge kernel's symmetric per-edge scans.
 //
-// SupportsOrientedCtx is the production form (cancellation, tracing,
-// counters); this legacy wrapper runs under concur.WithoutFaults so an
-// armed scheduler-barrier fault site cannot panic callers that have no
-// error channel.
-func SupportsOriented(g *graph.Graph, threads int) []int32 {
-	sup, err := SupportsOrientedCtx(concur.WithoutFaults(context.Background()), g, threads, nil)
-	if err != nil {
-		// Unreachable: the context is non-cancelable and excluded from
-		// fault injection.
-		panic("triangle: " + err.Error())
-	}
-	return sup
-}
-
-// SupportsOrientedCtx is SupportsOriented with the merge kernel's full
-// production contract: workers poll ctx at chunk-claim granularity and the
+// It has the merge kernel's full production contract: workers poll ctx at chunk-claim granularity and the
 // call returns ctx.Err() with every goroutine joined once it fires, every
 // parallel stage emits per-thread "Support" spans into tr, and each stage's
 // barrier is a "concur.barrier" fault-injection site.
@@ -75,7 +60,7 @@ func SupportsOrientedCtx(ctx context.Context, g *graph.Graph, threads int, tr *o
 	// Build the oriented CSR: out-neighbors of v are neighbors with higher
 	// rank, kept with their edge IDs and sorted by rank for merging.
 	outOff := make([]int64, n+1)
-	err = concur.ForCtxT(ctx, tr, "Support", n, threads, func(i int) {
+	err = concur.For(ctx, tr, "Support", n, threads, func(i int) {
 		v := int32(i)
 		var d int64
 		for _, w := range g.Neighbors(v) {
@@ -94,7 +79,7 @@ func SupportsOrientedCtx(ctx context.Context, g *graph.Graph, threads int, tr *o
 	total := outOff[n]
 	outRank := make([]int32, total) // rank of the head vertex
 	outEID := make([]int32, total)
-	err = concur.ForThreadsCtxT(ctx, tr, "Support", threads, func(tid int) {
+	err = concur.ForThreads(ctx, tr, "Support", threads, func(tid int) {
 		lo := tid * n / threads
 		hi := (tid + 1) * n / threads
 		var scratch sortScratch // reused across every vertex of this thread
@@ -128,7 +113,7 @@ func SupportsOrientedCtx(ctx context.Context, g *graph.Graph, threads int, tr *o
 	useAcc := int64(threads)*int64(m) <= accArrayLimit
 	accs := make([][]int32, threads)
 	var cursor atomic.Int64
-	err = concur.ForThreadsCtxT(ctx, tr, "Support", threads, func(tid int) {
+	err = concur.ForThreads(ctx, tr, "Support", threads, func(tid int) {
 		var acc []int32
 		if useAcc {
 			acc = make([]int32, m)
@@ -191,7 +176,7 @@ func SupportsOrientedCtx(ctx context.Context, g *graph.Graph, threads int, tr *o
 		return nil, err
 	}
 	if useAcc {
-		err = concur.ForRangeCtxT(ctx, tr, "Support", m, threads, func(lo, hi int) {
+		err = concur.ForRange(ctx, tr, "Support", m, threads, func(lo, hi int) {
 			for e := lo; e < hi; e++ {
 				var s int32
 				for t := 0; t < threads; t++ {
@@ -223,7 +208,7 @@ func rankByDegree(ctx context.Context, g *graph.Graph, threads int, tr *obs.Trac
 		threads = 1
 	}
 	maxPT := make([]int32, threads)
-	err := concur.ForThreadsCtxT(ctx, tr, "Support", threads, func(tid int) {
+	err := concur.ForThreads(ctx, tr, "Support", threads, func(tid int) {
 		lo := tid * n / threads
 		hi := (tid + 1) * n / threads
 		var max int32
@@ -245,7 +230,7 @@ func rankByDegree(ctx context.Context, g *graph.Graph, threads int, tr *obs.Trac
 	}
 	buckets := int(maxDeg) + 1
 	counts := make([][]int32, threads)
-	err = concur.ForThreadsCtxT(ctx, tr, "Support", threads, func(tid int) {
+	err = concur.ForThreads(ctx, tr, "Support", threads, func(tid int) {
 		lo := tid * n / threads
 		hi := (tid + 1) * n / threads
 		cnt := make([]int32, buckets)
@@ -265,7 +250,7 @@ func rankByDegree(ctx context.Context, g *graph.Graph, threads int, tr *obs.Trac
 			base += c
 		}
 	}
-	err = concur.ForThreadsCtxT(ctx, tr, "Support", threads, func(tid int) {
+	err = concur.ForThreads(ctx, tr, "Support", threads, func(tid int) {
 		lo := tid * n / threads
 		hi := (tid + 1) * n / threads
 		cnt := counts[tid]

@@ -16,34 +16,24 @@ import (
 	"equitruss/internal/obs"
 )
 
-// Supports returns support(e) for every edge ID, computed with the given
-// number of threads (<= 0 means all cores). SupportsT is the traced form;
-// SupportsCtx is the cancelable form.
+// Supports returns support(e) for every edge ID, computed by the merge
+// kernel with the given number of threads (<= 0 means all cores). It is
+// SupportsCtx with a nil context, which cannot fail.
 func Supports(g *graph.Graph, threads int) []int32 {
-	return SupportsT(g, threads, nil)
-}
-
-// SupportsT is Supports with per-thread "Support" spans emitted into tr;
-// the dynamic scheduler records how many edges each worker claimed, which
-// is exactly the load-balance signal the kernel's chunking exists to fix.
-func SupportsT(g *graph.Graph, threads int, tr *obs.Trace) []int32 {
-	sup, err := SupportsCtx(concur.WithoutFaults(context.Background()), g, threads, tr)
-	if err != nil {
-		// Unreachable: the context is non-cancelable and excluded from
-		// fault injection, so the ctx form cannot fail.
-		panic("triangle: " + err.Error())
-	}
+	sup, _ := SupportsCtx(nil, g, threads, nil)
 	return sup
 }
 
-// SupportsCtx is SupportsT with cancellation: workers check ctx between
-// dynamic chunks and the call returns ctx.Err() (and no supports) once it
-// fires, with every worker goroutine joined.
+// SupportsCtx is the merge kernel's production form: workers check ctx
+// between dynamic chunks and the call returns ctx.Err() (and no supports)
+// once it fires, with every worker goroutine joined. Per-thread "Support"
+// spans into tr record how many edges each worker claimed, which is exactly
+// the load-balance signal the kernel's chunking exists to fix.
 func SupportsCtx(ctx context.Context, g *graph.Graph, threads int, tr *obs.Trace) ([]int32, error) {
 	m := int(g.NumEdges())
 	sup := make([]int32, m)
 	edges := g.Edges()
-	err := concur.ForRangeDynamicCtxT(ctx, tr, "Support", m, threads, 512, func(lo, hi int) {
+	err := concur.ForRangeDynamic(ctx, tr, "Support", m, threads, 512, func(lo, hi int) {
 		for eid := lo; eid < hi; eid++ {
 			e := edges[eid]
 			sup[eid] = g.CommonNeighborCount(e.U, e.V)
@@ -55,28 +45,16 @@ func SupportsCtx(ctx context.Context, g *graph.Graph, threads int, tr *obs.Trace
 	return sup, nil
 }
 
-// SupportsGalloping is Supports with a galloping (binary-probing)
+// SupportsGallopingCtx is SupportsCtx with a galloping (binary-probing)
 // intersection that wins when one endpoint's list is much longer than the
-// other — the middle arm of the kernel-selection heuristic.
-// SupportsGallopingCtx is the production form.
-func SupportsGalloping(g *graph.Graph, threads int) []int32 {
-	sup, err := SupportsGallopingCtx(concur.WithoutFaults(context.Background()), g, threads, nil)
-	if err != nil {
-		// Unreachable: the context is non-cancelable and excluded from
-		// fault injection.
-		panic("triangle: " + err.Error())
-	}
-	return sup
-}
-
-// SupportsGallopingCtx is SupportsGalloping with the merge kernel's
-// production contract: cancellation between dynamic chunks, per-thread
-// "Support" spans into tr, and the scheduler-barrier fault site.
+// other — the middle arm of the kernel-selection heuristic. It keeps the
+// merge kernel's production contract: cancellation between dynamic chunks,
+// per-thread "Support" spans into tr, and the scheduler-barrier fault site.
 func SupportsGallopingCtx(ctx context.Context, g *graph.Graph, threads int, tr *obs.Trace) ([]int32, error) {
 	m := int(g.NumEdges())
 	sup := make([]int32, m)
 	edges := g.Edges()
-	err := concur.ForRangeDynamicCtxT(ctx, tr, "Support", m, threads, 512, func(lo, hi int) {
+	err := concur.ForRangeDynamic(ctx, tr, "Support", m, threads, 512, func(lo, hi int) {
 		for eid := lo; eid < hi; eid++ {
 			e := edges[eid]
 			nu, nv := g.Neighbors(e.U), g.Neighbors(e.V)
@@ -159,7 +137,7 @@ func gallopIntersect(a, b []int32) int32 {
 // supports equals three times the triangle count. The supports come from
 // the auto-selected kernel, so skewed graphs get the oriented scheme.
 func Count(g *graph.Graph, threads int) int64 {
-	sup := SupportsKernel(g, KernelAuto, threads)
+	sup, _ := SupportsKernelCtx(nil, g, KernelAuto, threads, nil)
 	var total int64
 	for _, s := range sup {
 		total += int64(s)

@@ -73,13 +73,13 @@ func TestSupportsMatchesBrute(t *testing.T) {
 					return false
 				}
 			}
-			got = SupportsGalloping(g, threads)
+			got, _ = SupportsGallopingCtx(nil, g, threads, nil)
 			for i := range want {
 				if got[i] != want[i] {
 					return false
 				}
 			}
-			got = SupportsOriented(g, threads)
+			got, _ = SupportsOrientedCtx(nil, g, threads, nil)
 			for i := range want {
 				if got[i] != want[i] {
 					return false
@@ -110,8 +110,8 @@ func TestSupportsGallopingOnSkewedGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	merge := Supports(g, 2)
-	gallop := SupportsGalloping(g, 2)
-	oriented := SupportsOriented(g, 2)
+	gallop, _ := SupportsGallopingCtx(nil, g, 2, nil)
+	oriented, _ := SupportsOrientedCtx(nil, g, 2, nil)
 	for i := range merge {
 		if merge[i] != gallop[i] {
 			t.Fatalf("edge %d: merge %d vs gallop %d", i, merge[i], gallop[i])
@@ -177,7 +177,7 @@ func TestSupportsOrientedOnGenerators(t *testing.T) {
 	}
 	for gi, g := range graphs {
 		want := Supports(g, 2)
-		got := SupportsOriented(g, 2)
+		got, _ := SupportsOrientedCtx(nil, g, 2, nil)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("graph %d edge %d: oriented %d vs merge %d", gi, i, got[i], want[i])
@@ -188,7 +188,7 @@ func TestSupportsOrientedOnGenerators(t *testing.T) {
 
 func TestSupportsOrientedEmpty(t *testing.T) {
 	g, _ := graph.FromEdgeList(nil, 5)
-	if s := SupportsOriented(g, 2); len(s) != 0 {
+	if s, _ := SupportsOrientedCtx(nil, g, 2, nil); len(s) != 0 {
 		t.Fatalf("oriented supports on empty graph: %v", s)
 	}
 }

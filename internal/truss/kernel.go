@@ -105,24 +105,12 @@ func ChoosePeelKernel(m int64, maxSup int32, threads int) PeelKernel {
 	return PeelLevelSync
 }
 
-// DecomposeKernel computes the decomposition with the selected kernel
-// (PeelAuto resolves per instance). Legacy form of DecomposeKernelCtx: not
-// cancelable and excluded from fault injection, so it never fails.
-func DecomposeKernel(g *graph.Graph, supports []int32, k PeelKernel, threads int) (tau []int32, kmax int32) {
-	tau, kmax, err := DecomposeKernelCtx(concur.WithoutFaults(context.Background()), g, supports, k, threads, nil)
-	if err != nil {
-		// Unreachable: the context is non-cancelable and excluded from
-		// fault injection.
-		panic("truss: " + err.Error())
-	}
-	return tau, kmax
-}
-
 // DecomposeKernelCtx dispatches the TrussDecomp stage to the selected
-// kernel. All kernels share the production contract — cancellation at
+// kernel (PeelAuto resolves per instance). All kernels share the production contract — cancellation at
 // scheduler-barrier (or poll) granularity, per-thread "TrussDecomp" spans
 // into tr, scheduler-barrier fault sites for the parallel forms — and
-// produce bit-identical trussness and kmax.
+// produce bit-identical trussness and kmax. With a nil ctx the call cannot
+// fail (see package concur).
 func DecomposeKernelCtx(ctx context.Context, g *graph.Graph, supports []int32, k PeelKernel, threads int, tr *obs.Trace) (tau []int32, kmax int32, err error) {
 	if threads <= 0 {
 		threads = concur.MaxThreads()

@@ -60,9 +60,9 @@ func TestPKTMatchesSerial(t *testing.T) {
 	check := func(seed int64) bool {
 		g := randomGraph(seed, 30, 0.25)
 		sup := triangle.Supports(g, 2)
-		want, wantK := DecomposeSerial(g, sup)
+		want, wantK, _ := DecomposeSerialCtx(nil, g, sup)
 		for _, threads := range []int{1, 2, 4} {
-			got, gotK := DecomposePKT(g, sup, threads)
+			got, gotK, _ := DecomposePKTCtx(nil, g, sup, threads, nil)
 			if gotK != wantK {
 				return false
 			}
@@ -73,7 +73,7 @@ func TestPKTMatchesSerial(t *testing.T) {
 			}
 		}
 		for _, k := range allPeelKernels {
-			got, gotK := DecomposeKernel(g, sup, k, 2)
+			got, gotK, _ := DecomposeKernelCtx(nil, g, sup, k, 2, nil)
 			if gotK != wantK {
 				return false
 			}
@@ -102,9 +102,9 @@ func TestPKTMatchesSerialOnStructuredGraphs(t *testing.T) {
 	}
 	for name, g := range graphs {
 		sup := triangle.Supports(g, 2)
-		want, wantK := DecomposeSerial(g, sup)
+		want, wantK, _ := DecomposeSerialCtx(nil, g, sup)
 		for _, threads := range []int{1, 3} {
-			got, gotK := DecomposePKT(g, sup, threads)
+			got, gotK, _ := DecomposePKTCtx(nil, g, sup, threads, nil)
 			if gotK != wantK {
 				t.Fatalf("%s threads=%d: kmax %d vs serial %d", name, threads, gotK, wantK)
 			}
@@ -133,10 +133,10 @@ func TestPKTLevelSkip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sup := triangle.Supports(g, 2)
-	want, wantK := DecomposeSerial(g, sup)
+	want, wantK, _ := DecomposeSerialCtx(nil, g, sup)
 	before := cPeelLevelSkips.Value()
 	for _, threads := range []int{1, 2, 4} {
-		got, gotK := DecomposePKT(g, sup, threads)
+		got, gotK, _ := DecomposePKTCtx(nil, g, sup, threads, nil)
 		if gotK != wantK {
 			t.Fatalf("threads=%d: kmax %d vs %d", threads, gotK, wantK)
 		}
@@ -170,7 +170,7 @@ func TestFrontierAdmissionAccounting(t *testing.T) {
 		for _, kernel := range []PeelKernel{PeelLevelSync, PeelPKT} {
 			for _, threads := range []int{1, 4} {
 				seeds0, caps0 := cPeelSeeds.Value(), cPeelCaptures.Value()
-				DecomposeKernel(g, sup, kernel, threads)
+				DecomposeKernelCtx(nil, g, sup, kernel, threads, nil)
 				seeds := cPeelSeeds.Value() - seeds0
 				caps := cPeelCaptures.Value() - caps0
 				if seeds+caps != m {
@@ -207,7 +207,7 @@ func TestKMaxInvariant(t *testing.T) {
 	for name, g := range graphs {
 		sup := triangle.Supports(g, 2)
 		for _, kernel := range allPeelKernels {
-			tau, kmax := DecomposeKernel(g, sup, kernel, 4)
+			tau, kmax, _ := DecomposeKernelCtx(nil, g, sup, kernel, 4, nil)
 			if want := KMax(tau); kmax != want {
 				t.Fatalf("%s/%v: kmax = %d, want max τ = %d", name, kernel, kmax, want)
 			}
@@ -231,7 +231,7 @@ func TestPKTCancellation(t *testing.T) {
 func TestDecomposeKernelEmpty(t *testing.T) {
 	g, _ := graph.FromEdgeList(nil, 4)
 	for _, k := range allPeelKernels {
-		tau, kmax := DecomposeKernel(g, nil, k, 2)
+		tau, kmax, _ := DecomposeKernelCtx(nil, g, nil, k, 2, nil)
 		if len(tau) != 0 || kmax != MinTrussness {
 			t.Fatalf("%v empty: tau=%v kmax=%d", k, tau, kmax)
 		}
@@ -252,7 +252,7 @@ func BenchmarkPeelKernels(b *testing.B) {
 	for _, k := range []PeelKernel{PeelSerial, PeelLevelSync, PeelPKT} {
 		b.Run(fmt.Sprint(k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				DecomposeKernel(g, sup, k, 0)
+				DecomposeKernelCtx(nil, g, sup, k, 0, nil)
 			}
 		})
 	}

@@ -31,35 +31,18 @@ var (
 		"empty support levels skipped by jumping to the minimum surviving support")
 )
 
-// DecomposeParallel is the level-synchronous parallel peeling: at peel
+// DecomposeParallelCtx is the level-synchronous parallel peeling: at peel
 // level L all alive edges with support <= L are peeled together in
 // sub-rounds, decrementing surviving triangle partners with atomics. The
 // triangle shared between two simultaneously peeled edges is settled by an
 // edge-ID tie-break so each destroyed triangle decrements each survivor
 // exactly once — the discipline of shared-memory PKT-style decompositions.
 //
-// The result is exactly DecomposeSerial's (trussness is unique).
-// DecomposeParallelT is the traced form.
-func DecomposeParallel(g *graph.Graph, supports []int32, threads int) (tau []int32, kmax int32) {
-	return DecomposeParallelT(g, supports, threads, nil)
-}
-
-// DecomposeParallelT is DecomposeParallel with observability: each peel
-// sub-round's processing pass emits per-thread "TrussDecomp" spans into tr,
-// and the peeling counters above accumulate regardless of tracing.
-func DecomposeParallelT(g *graph.Graph, supports []int32, threads int, tr *obs.Trace) (tau []int32, kmax int32) {
-	tau, kmax, err := DecomposeParallelCtx(concur.WithoutFaults(context.Background()), g, supports, threads, tr)
-	if err != nil {
-		// Unreachable: the context is non-cancelable and excluded from
-		// fault injection, so the ctx form cannot fail.
-		panic("truss: " + err.Error())
-	}
-	return tau, kmax
-}
-
-// DecomposeParallelCtx is DecomposeParallelT with cancellation: the peel
-// checks ctx at every scheduler barrier and between sub-rounds, returning
-// ctx.Err() (and no trussness) promptly with all workers joined.
+// The result is exactly DecomposeSerialCtx's (trussness is unique). Each
+// peel sub-round's processing pass emits per-thread "TrussDecomp" spans
+// into tr, and the peeling counters above accumulate regardless of tracing.
+// The peel checks ctx at every scheduler barrier and between sub-rounds,
+// returning ctx.Err() (and no trussness) promptly with all workers joined.
 func DecomposeParallelCtx(ctx context.Context, g *graph.Graph, supports []int32, threads int, tr *obs.Trace) (tau []int32, kmax int32, err error) {
 	m := int32(g.NumEdges())
 	tau = make([]int32, m)
@@ -99,13 +82,13 @@ func DecomposeParallelCtx(ctx context.Context, g *graph.Graph, supports []int32,
 		for len(curr) > 0 {
 			cPeelSubrounds.Inc()
 			n := len(curr)
-			if err := concur.ForCtxT(ctx, tr, "TrussDecomp", n, threads, func(i int) { inCurr.SetAtomic(int(curr[i])) }); err != nil {
+			if err := concur.For(ctx, tr, "TrussDecomp", n, threads, func(i int) { inCurr.SetAtomic(int(curr[i])) }); err != nil {
 				return nil, 0, err
 			}
 			for t := range nextBufs {
 				nextBufs[t] = nextBufs[t][:0]
 			}
-			err := concur.ForThreadsCtxT(ctx, tr, "TrussDecomp", threads, func(tid int) {
+			err := concur.ForThreads(ctx, tr, "TrussDecomp", threads, func(tid int) {
 				lo := tid * n / threads
 				hi := (tid + 1) * n / threads
 				next := nextBufs[tid]
@@ -147,7 +130,7 @@ func DecomposeParallelCtx(ctx context.Context, g *graph.Graph, supports []int32,
 				return nil, 0, err
 			}
 			// Retire the processed frontier.
-			if err := concur.ForCtxT(ctx, tr, "TrussDecomp", n, threads, func(i int) {
+			if err := concur.For(ctx, tr, "TrussDecomp", n, threads, func(i int) {
 				e := curr[i]
 				inCurr.ClearAtomic(int(e))
 				deleted.SetAtomic(int(e))
@@ -193,7 +176,7 @@ func collectFrontier(ctx context.Context, sup []int32, deleted *ds.Bitset, level
 	m := len(sup)
 	bufs := make([][]int32, threads)
 	mins := make([]int32, threads)
-	err := concur.ForThreadsCtxT(ctx, tr, "TrussDecomp", threads, func(tid int) {
+	err := concur.ForThreads(ctx, tr, "TrussDecomp", threads, func(tid int) {
 		lo := tid * m / threads
 		hi := (tid + 1) * m / threads
 		var buf []int32

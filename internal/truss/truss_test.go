@@ -29,7 +29,7 @@ func randomGraph(seed int64, n int32, p float64) *graph.Graph {
 
 func serialTau(g *graph.Graph) []int32 {
 	sup := triangle.Supports(g, 1)
-	tau, _ := DecomposeSerial(g, sup)
+	tau, _, _ := DecomposeSerialCtx(nil, g, sup)
 	return tau
 }
 
@@ -113,9 +113,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 	check := func(seed int64) bool {
 		g := randomGraph(seed, 30, 0.25)
 		sup := triangle.Supports(g, 2)
-		want, wantK := DecomposeSerial(g, sup)
+		want, wantK, _ := DecomposeSerialCtx(nil, g, sup)
 		for _, threads := range []int{1, 2, 4} {
-			got, gotK := DecomposeParallel(g, sup, threads)
+			got, gotK, _ := DecomposeParallelCtx(nil, g, sup, threads, nil)
 			if gotK != wantK {
 				return false
 			}
@@ -144,8 +144,8 @@ func TestParallelMatchesSerialOnStructuredGraphs(t *testing.T) {
 	}
 	for name, g := range graphs {
 		sup := triangle.Supports(g, 2)
-		want, _ := DecomposeSerial(g, sup)
-		got, _ := DecomposeParallel(g, sup, 2)
+		want, _, _ := DecomposeSerialCtx(nil, g, sup)
+		got, _, _ := DecomposeParallelCtx(nil, g, sup, 2, nil)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("%s: τ[%d] parallel %d vs serial %d", name, i, got[i], want[i])
@@ -171,13 +171,13 @@ func TestParallelLevelSkip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sup := triangle.Supports(g, 2)
-	want, wantK := DecomposeSerial(g, sup)
+	want, wantK, _ := DecomposeSerialCtx(nil, g, sup)
 	if wantK != 16 {
 		t.Fatalf("serial kmax = %d, want 16", wantK)
 	}
 	before := cPeelLevelSkips.Value()
 	for _, threads := range []int{1, 2, 4, 8} {
-		got, gotK := DecomposeParallel(g, sup, threads)
+		got, gotK, _ := DecomposeParallelCtx(nil, g, sup, threads, nil)
 		if gotK != wantK {
 			t.Fatalf("threads=%d: kmax %d vs %d", threads, gotK, wantK)
 		}
@@ -241,17 +241,17 @@ func TestTrussnessMaximality(t *testing.T) {
 
 func TestDecomposeEmptyAndTiny(t *testing.T) {
 	g, _ := graph.FromEdgeList(nil, 4)
-	tau, kmax := DecomposeSerial(g, nil)
+	tau, kmax, _ := DecomposeSerialCtx(nil, g, nil)
 	if len(tau) != 0 || kmax != MinTrussness {
 		t.Fatalf("empty: tau=%v kmax=%d", tau, kmax)
 	}
-	tau, kmax = DecomposeParallel(g, nil, 2)
+	tau, kmax, _ = DecomposeParallelCtx(nil, g, nil, 2, nil)
 	if len(tau) != 0 || kmax != MinTrussness {
 		t.Fatalf("empty parallel: tau=%v kmax=%d", tau, kmax)
 	}
 	single, _ := graph.FromEdgeList([]graph.Edge{{U: 0, V: 1}}, 0)
 	sup := triangle.Supports(single, 1)
-	tau, kmax = DecomposeSerial(single, sup)
+	tau, kmax, _ = DecomposeSerialCtx(nil, single, sup)
 	if tau[0] != 2 || kmax != 2 {
 		t.Fatalf("single edge: τ=%d kmax=%d", tau[0], kmax)
 	}

@@ -1,8 +1,8 @@
 package equitruss_test
 
 import (
-	"bytes"
 	"fmt"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -38,11 +38,11 @@ func TestSaveLoadRoundTripAllVariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := equitruss.SaveIndex(&buf, idx.SG); err != nil {
+			path := filepath.Join(t.TempDir(), "g.idx")
+			if err := equitruss.SaveIndexFile(path, idx.SG); err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := equitruss.LoadIndex(&buf, g)
+			loaded, _, err := equitruss.OpenIndexFile(path, g, equitruss.VerifyEager)
 			if err != nil {
 				t.Fatal(err)
 			}

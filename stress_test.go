@@ -21,8 +21,8 @@ func TestStressModerateRMAT(t *testing.T) {
 	}
 	g := gen.RMAT(13, 10, 0.57, 0.19, 0.19, 2024)
 	sup := triangle.Supports(g, 0)
-	tauS, kS := truss.DecomposeSerial(g, sup)
-	tauP, kP := truss.DecomposeParallel(g, sup, 0)
+	tauS, kS, _ := truss.DecomposeSerialCtx(nil, g, sup)
+	tauP, kP, _ := truss.DecomposeParallelCtx(nil, g, sup, 0, nil)
 	if kS != kP {
 		t.Fatalf("kmax: serial %d vs parallel %d", kS, kP)
 	}
@@ -31,14 +31,14 @@ func TestStressModerateRMAT(t *testing.T) {
 			t.Fatalf("τ[%d]: serial %d vs parallel %d", i, tauS[i], tauP[i])
 		}
 	}
-	want, _ := core.BuildSerial(g, tauS)
+	want, _, _ := core.BuildCtx(nil, g, tauS, core.VariantSerial, 1, nil)
 	if err := want.Validate(g); err != nil {
 		t.Fatal(err)
 	}
 	canon := want.Canonical(g)
 	variants := append(append([]core.Variant(nil), core.ParallelVariants...), core.AblationVariants...)
 	for _, v := range variants {
-		got, _ := core.Build(g, tauS, v, 0)
+		got, _, _ := core.BuildCtx(nil, g, tauS, v, 0, nil)
 		if err := got.Validate(g); err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
