@@ -38,7 +38,7 @@ ci: serversmoke servermetrics chaos crashsafe coldstart
 	fi
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/concur ./internal/triangle ./internal/truss ./internal/community ./internal/obs
+	$(GO) test -race ./internal/concur ./internal/graph ./internal/triangle ./internal/truss ./internal/core ./internal/community ./internal/obs
 	$(MAKE) benchcheck
 
 # Perf regression gate: rerun the Support kernel sweep, the query-path

@@ -13,11 +13,14 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"equitruss"
+	"equitruss/internal/core"
 	"equitruss/internal/faults"
+	"equitruss/internal/obs"
 )
 
 // chaosWaitGoroutines polls until the goroutine count returns to base —
@@ -126,6 +129,94 @@ func TestChaosBarrierFault(t *testing.T) {
 	if sg.Canonical(g) != canon {
 		t.Fatal("rebuild after injected failure disagrees with the serial oracle")
 	}
+}
+
+// cancelAtErr is a context that cancels itself on its n-th Err call. Every
+// scheduler barrier of a build calls Err once, so sweeping n cancels the
+// build at each of its barriers in turn.
+type cancelAtErr struct {
+	context.Context
+	cancel context.CancelFunc
+	at     int64 // 0: never cancel
+	calls  atomic.Int64
+}
+
+func (c *cancelAtErr) Err() error {
+	if c.calls.Add(1) == c.at {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestChaosAfforestStages sweeps a mid-build cancellation and an injected
+// concur.barrier fault across every barrier of an Afforest index build and
+// records the stage each one stopped in: both must reach the Init stage
+// (the oriented view), SpNode and SpEdge (the triangle passes) and SmGraph,
+// and each must fail with its own error and no leaked worker.
+func TestChaosAfforestStages(t *testing.T) {
+	g := equitruss.GenerateRMAT(10, 6, 7)
+	tau := equitruss.Trussness(g, 2)
+	build := func(ctx context.Context) (string, error) {
+		tr := obs.NewTrace()
+		_, _, err := core.BuildCtx(ctx, g, tau, core.VariantAfforest, 4, tr)
+		stage := ""
+		for _, sp := range tr.Spans() {
+			if sp.TID == obs.PipelineTID {
+				stage = sp.Name
+			}
+		}
+		return stage, err
+	}
+	wantStages := []string{"Init", "SpNode", "SpEdge", "SmGraph"}
+	base := runtime.NumGoroutine()
+
+	t.Run("cancel", func(t *testing.T) {
+		counter := &cancelAtErr{Context: context.Background()}
+		if _, err := build(counter); err != nil {
+			t.Fatal(err)
+		}
+		barriers := int(counter.calls.Load())
+		reached := map[string]bool{}
+		for n := 1; n <= barriers; n++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			stage, err := build(&cancelAtErr{Context: ctx, cancel: cancel, at: int64(n)})
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancel at barrier %d (%s) returned %v", n, stage, err)
+			}
+			reached[stage] = true
+		}
+		for _, st := range wantStages {
+			if !reached[st] {
+				t.Fatalf("no cancellation surfaced in %s (reached %v)", st, reached)
+			}
+		}
+	})
+
+	t.Run("fault", func(t *testing.T) {
+		faults.Enable(5)
+		defer faults.Disable()
+		faults.Set("concur.barrier", faults.Plan{Action: faults.Error})
+		if _, err := build(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		barriers := int(faults.Hits("concur.barrier"))
+		reached := map[string]bool{}
+		for n := 1; n <= barriers; n++ {
+			faults.Set("concur.barrier", faults.Plan{Action: faults.Error, Every: n, MaxFires: 1})
+			stage, err := build(context.Background())
+			if !errors.Is(err, faults.ErrInjected) {
+				t.Fatalf("fault at barrier %d (%s) returned %v", n, stage, err)
+			}
+			reached[stage] = true
+		}
+		for _, st := range wantStages {
+			if !reached[st] {
+				t.Fatalf("no injected fault surfaced in %s (reached %v)", st, reached)
+			}
+		}
+	})
+	chaosWaitGoroutines(t, base)
 }
 
 // TestChaosLegacyAPIsImmuneToBarrierFaults: the no-error public APIs

@@ -21,7 +21,8 @@ const (
 	VariantBaseline
 	// VariantCOptimal is parallel SV with CSR-aligned, contiguous storage.
 	VariantCOptimal
-	// VariantAfforest is the sampling-based Afforest construction.
+	// VariantAfforest is the Afforest-style union-find construction, run
+	// as one pass over the triangles of the degree-oriented view.
 	VariantAfforest
 	// VariantLabelProp builds supernodes by min-label propagation — one of
 	// the two CC designs the paper rejects in §3.1; kept as an ablation.
@@ -91,26 +92,34 @@ func BuildCtx(ctx context.Context, g *graph.Graph, tau []int32, variant Variant,
 	tm.Threads = threads
 	tm.Runs = 1
 
-	// Init kernel: Φ_k grouping plus any variant-specific dictionaries.
+	// Init kernel: Φ_k grouping, the Baseline dictionary, and the degree-
+	// oriented view every other variant's triangle passes run over.
 	span := tr.Start("Init")
 	start := time.Now()
 	var dict edgeDict
 	var phi [][]int32
+	var og *graph.Oriented
+	var err error
 	switch variant {
 	case VariantBaseline:
 		dict = buildEdgeDict(g, tau)
 		phi, _ = phiGroups(g, tau, threads)
 	case VariantCOptimal:
 		phi, _ = phiGroups(g, tau, threads)
+		og, err = graph.Orient(ctx, g, threads, tr, "Init")
 	case VariantAfforest, VariantLabelProp, VariantBFS:
 		// These strategies need no Φ ordering: cross-k hooks are
 		// impossible, so all trussness groups converge in the same passes.
+		og, err = graph.Orient(ctx, g, threads, tr, "Init")
 	default:
 		panic("core: unknown variant " + variant.String())
 	}
 	tm.Init = time.Since(start)
 	span.End()
-	if err := ctxDone(ctx); err != nil {
+	if err == nil {
+		err = ctxDone(ctx)
+	}
+	if err != nil {
 		return nil, tm, err
 	}
 
@@ -118,14 +127,13 @@ func BuildCtx(ctx context.Context, g *graph.Graph, tau []int32, variant Variant,
 	span = tr.Start("SpNode")
 	start = time.Now()
 	var pi []int32
-	var err error
 	switch variant {
 	case VariantBaseline:
 		pi, err = spNodeBaseline(ctx, g, tau, dict, phi, threads, tr)
 	case VariantCOptimal:
 		pi, err = spNodeCOptimal(ctx, g, tau, phi, threads, tr)
 	case VariantAfforest:
-		pi, err = spNodeAfforest(ctx, g, tau, threads, tr)
+		pi, err = spNodeAfforest(ctx, og, tau, threads, tr)
 	case VariantLabelProp:
 		pi, err = spNodeLabelProp(ctx, g, tau, threads, tr)
 	case VariantBFS:
@@ -144,7 +152,7 @@ func BuildCtx(ctx context.Context, g *graph.Graph, tau []int32, variant Variant,
 	if variant == VariantBaseline {
 		spEdges, err = spEdgeBaseline(ctx, g, tau, pi, dict, threads, tr)
 	} else {
-		spEdges, err = spEdgeFlat(ctx, g, tau, pi, threads, tr)
+		spEdges, err = spEdgeFlat(ctx, og, tau, pi, threads, tr)
 	}
 	tm.SpEdge = time.Since(start)
 	span.End()

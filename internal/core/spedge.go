@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"equitruss/internal/concur"
@@ -10,8 +10,8 @@ import (
 	"equitruss/internal/obs"
 )
 
-// spEdgeCancelStride is how many edges a SpEdge worker scans between ctx
-// polls inside its per-thread block.
+// spEdgeCancelStride is how many edges a Baseline SpEdge worker scans
+// between ctx polls inside its per-thread block.
 const spEdgeCancelStride = 2048
 
 // packPair packs a canonical (low-root, high-root) superedge into a single
@@ -25,51 +25,90 @@ func packPair(a, b int32) uint64 {
 
 func unpackPair(p uint64) (a, b int32) { return int32(p >> 32), int32(uint32(p)) }
 
-// spEdgeFlat is Algorithm 3 over the flat τ/Π arrays (C-Optimal and
-// Afforest variants): every edge scans its triangles, and whenever it is
-// strictly above the triangle's minimum trussness it emits a superedge from
-// its supernode down to the minimum edge's supernode. Each thread appends
-// to its own subset (ln. 1, 10, 12), avoiding races by construction.
-// Workers poll ctx every spEdgeCancelStride edges; a canceled call returns
-// ctx.Err() and no subsets.
-func spEdgeFlat(ctx context.Context, g *graph.Graph, tau, pi []int32, threads int, tr *obs.Trace) ([][]uint64, error) {
+// dupSlots is the size of each SpEdge worker's duplicate filter.
+const dupSlots = 1024
+
+// emptySlot marks an unused filter slot. A packed pair's high word is a
+// non-negative root, so no real pair equals it.
+const emptySlot = ^uint64(0)
+
+// dupFilter is a direct-mapped cache of the superedges a SpEdge worker
+// emitted recently. Triangles that share a supernode pair usually lie
+// close together in edge order, so most repeats are dropped here instead
+// of being copied through the SmGraph merge.
+type dupFilter [dupSlots]uint64
+
+// clear empties every slot.
+func (f *dupFilter) clear() {
+	for i := range f {
+		f[i] = emptySlot
+	}
+}
+
+// seen reports whether p sits in its slot, and otherwise puts it there.
+func (f *dupFilter) seen(p uint64) bool {
+	s := &f[p*0x9E3779B97F4A7C15>>54]
+	if *s == p {
+		return true
+	}
+	*s = p
+	return false
+}
+
+// spEdgeWorker is one SpEdge thread's filter and output; the inline filter
+// keeps the output headers of neighboring workers on separate cache lines.
+type spEdgeWorker struct {
+	filter dupFilter
+	out    []uint64
+}
+
+// spEdgeFlat is Algorithm 3 over the flat τ/Π arrays (C-Optimal, Afforest
+// and the ablation variants), visiting each triangle once through the
+// degree-oriented view: a triangle links the supernode of its minimum-
+// trussness edges to the supernode of each strictly higher edge. Each
+// thread appends to its own subset (ln. 1, 10, 12), avoiding races by
+// construction, after its duplicate filter. Workers poll ctx at every chunk
+// claim; a canceled call returns ctx.Err() and no subsets.
+func spEdgeFlat(ctx context.Context, og *graph.Oriented, tau, pi []int32, threads int, tr *obs.Trace) ([][]uint64, error) {
 	if threads <= 0 {
 		threads = concur.MaxThreads()
 	}
-	m := int(g.NumEdges())
-	spEdges := make([][]uint64, threads)
-	err := concur.ForThreads(ctx, tr, "SpEdge", threads, func(tid int) {
-		lo := tid * m / threads
-		hi := (tid + 1) * m / threads
-		var local []uint64
-		for i := lo; i < hi; i++ {
-			if (i-lo)%spEdgeCancelStride == 0 && concur.Canceled(ctx) {
-				return
-			}
-			e := int32(i)
-			k := tau[e]
-			if k < MinK {
-				continue
-			}
-			g.ForEachTriangleOf(e, func(w, e1, e2 int32) bool {
-				k1, k2 := tau[e1], tau[e2]
-				lowest := min32(k, min32(k1, k2))
-				if k > lowest {
-					if lowest == k1 {
-						local = append(local, packPair(pi[e1], pi[e]))
-					}
-					if lowest == k2 {
-						local = append(local, packPair(pi[e2], pi[e]))
-					}
-				}
-				return true
-			})
+	workers := make([]spEdgeWorker, threads)
+	for t := range workers {
+		workers[t].filter.clear()
+	}
+	emit := func(w *spEdgeWorker, lo, hi int32) {
+		if p := packPair(pi[lo], pi[hi]); !w.filter.seen(p) {
+			w.out = append(w.out, p)
 		}
-		spEdges[tid] = local
-		cSpEdgeEmitted.Add(int64(len(local)))
+	}
+	_, err := og.ForEachTriangle(ctx, tr, "SpEdge", threads, func(tid int, e, e1, e2 int32) {
+		k, k1, k2 := tau[e], tau[e1], tau[e2]
+		kmin := min(k, k1, k2)
+		lo := e
+		if k1 == kmin {
+			lo = e1
+		} else if k2 == kmin {
+			lo = e2
+		}
+		w := &workers[tid]
+		if k > kmin {
+			emit(w, lo, e)
+		}
+		if k1 > kmin {
+			emit(w, lo, e1)
+		}
+		if k2 > kmin {
+			emit(w, lo, e2)
+		}
 	})
 	if err != nil {
 		return nil, err
+	}
+	spEdges := make([][]uint64, threads)
+	for t, w := range workers {
+		spEdges[t] = w.out
+		cSpEdgeEmitted.Add(int64(len(w.out)))
 	}
 	return spEdges, nil
 }
@@ -136,63 +175,70 @@ func spEdgeBaseline(ctx context.Context, g *graph.Graph, tau, pi []int32, dict e
 // smGraphMerge is Algorithm 4: thread-local superedge subsets are hash-
 // partitioned to destination threads, each destination sorts and
 // deduplicates its partition, and the partitions are concatenated into the
-// final superedge list via a prefix-summed parallel copy. Cancellation is
-// checked at each of the three phase barriers.
+// final superedge list via a prefix-summed parallel copy. Partitioning
+// counts first and then scatters each source straight into its slot of the
+// destination buffer. Cancellation is checked at each phase barrier.
 func smGraphMerge(ctx context.Context, spEdges [][]uint64, threads int, tr *obs.Trace) ([]uint64, error) {
 	if threads <= 0 {
 		threads = concur.MaxThreads()
 	}
 	nsrc := len(spEdges)
-	// ln. 6–11: each source thread buckets its superedges by destination.
-	partitioned := make([][][]uint64, nsrc)
+	dest := func(p uint64) int { return int((p * 0x9E3779B97F4A7C15 >> 33) % uint64(threads)) }
+	// ln. 6–11: each source thread counts its superedges per destination,
+	// a prefix sum over (destination, source) places every source's run, and
+	// each source scatters into its runs.
+	counts := make([][]int, nsrc)
 	if err := concur.ForThreads(ctx, tr, "SmGraph", nsrc, func(src int) {
-		buckets := make([][]uint64, threads)
+		c := make([]int, threads)
 		for _, p := range spEdges[src] {
-			d := int((p * 0x9E3779B97F4A7C15 >> 33) % uint64(threads))
-			buckets[d] = append(buckets[d], p)
+			c[dest(p)]++
 		}
-		partitioned[src] = buckets
+		counts[src] = c
 	}); err != nil {
 		return nil, err
 	}
-	// ln. 13–16: each destination combines, sorts, removes duplicates.
-	combined := make([][]uint64, threads)
-	var deduped int64
+	parts := make([][]uint64, threads)
+	for d := range parts {
+		n := 0
+		for src := range counts {
+			c := counts[src][d]
+			counts[src][d] = n
+			n += c
+		}
+		parts[d] = make([]uint64, n)
+	}
+	if err := concur.ForThreads(ctx, tr, "SmGraph", nsrc, func(src int) {
+		at := counts[src]
+		for _, p := range spEdges[src] {
+			d := dest(p)
+			parts[d][at[d]] = p
+			at[d]++
+		}
+	}); err != nil {
+		return nil, err
+	}
+	// ln. 13–16: each destination sorts and removes duplicates.
+	var deduped atomic.Int64
 	if err := concur.ForThreads(ctx, tr, "SmGraph", threads, func(dst int) {
-		var all []uint64
-		for src := 0; src < nsrc; src++ {
-			all = append(all, partitioned[src][dst]...)
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		out := all[:0]
-		var prev uint64
-		for i, p := range all {
-			if i == 0 || p != prev {
-				out = append(out, p)
-			}
-			prev = p
-		}
-		if dropped := len(all) - len(out); dropped > 0 {
-			atomic.AddInt64(&deduped, int64(dropped))
-		}
-		combined[dst] = out
+		all := parts[dst]
+		slices.Sort(all)
+		parts[dst] = slices.Compact(all)
+		deduped.Add(int64(len(all) - len(parts[dst])))
 	}); err != nil {
 		return nil, err
 	}
 	// ln. 17–19: size the final buffer by reduction and merge in parallel.
-	offsets := make([]int64, threads)
-	var total int64
-	for d := 0; d < threads; d++ {
-		offsets[d] = total
-		total += int64(len(combined[d]))
+	offsets := make([]int, threads+1)
+	for d, p := range parts {
+		offsets[d+1] = offsets[d] + len(p)
 	}
-	final := make([]uint64, total)
+	final := make([]uint64, offsets[threads])
 	if err := concur.ForThreads(ctx, tr, "SmGraph", threads, func(dst int) {
-		copy(final[offsets[dst]:], combined[dst])
+		copy(final[offsets[dst]:], parts[dst])
 	}); err != nil {
 		return nil, err
 	}
-	cSmGraphDeduped.Add(deduped)
-	cSmGraphFinal.Add(total)
+	cSmGraphDeduped.Add(deduped.Load())
+	cSmGraphFinal.Add(int64(len(final)))
 	return final, nil
 }

@@ -315,97 +315,37 @@ func flattenPi(ctx context.Context, pi []int32, tau []int32, threads int) error 
 }
 
 // ---------------------------------------------------------------------------
-// Afforest SpNode: sampling-based CC (Sutton et al.) over edge entities.
+// Afforest SpNode: triangle-once union-find over edge entities.
 // ---------------------------------------------------------------------------
 
-// afforestNeighborRounds is the number of link rounds run over a bounded
-// prefix of each edge's triangle partners before component approximation.
-const afforestNeighborRounds = 2
-
-// afforestSampleSize is the number of edges sampled to identify the
-// largest intermediate component.
-const afforestSampleSize = 1024
-
-// spNodeAfforest computes Π with the Afforest strategy: a couple of cheap
-// link rounds over the first triangle partners approximate the components;
-// the dominant component is then identified by sampling and its members are
-// skipped in the exhaustive finalization pass, which links every remaining
-// partner of every edge outside it. Exactness is preserved because the
-// final pass processes all edges not yet in the dominant component and the
-// partner relation is symmetric. Cancellation is checked at every scheduler
-// barrier (link rounds, compression passes, finalization, materialization).
-func spNodeAfforest(ctx context.Context, g *graph.Graph, tau []int32, threads int, tr *obs.Trace) ([]int32, error) {
-	m := int32(g.NumEdges())
-	cuf := ds.NewConcurrentUnionFind(int(m))
-	// Link rounds over the r-th valid partner of each edge.
-	for r := 0; r < afforestNeighborRounds; r++ {
-		err := concur.ForRangeDynamic(ctx, tr, "SpNode", int(m), threads, 512, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e := int32(i)
-				k := tau[e]
-				if k < MinK {
-					continue
-				}
-				seen := 0
-				g.ForEachTriangleOf(e, func(w, e1, e2 int32) bool {
-					if tau[e1] == k && tau[e2] >= k {
-						if seen == r {
-							cuf.Union(e, e1)
-							return false
-						}
-						seen++
-					}
-					if tau[e2] == k && tau[e1] >= k {
-						if seen == r {
-							cuf.Union(e, e2)
-							return false
-						}
-						seen++
-					}
-					return true
-				})
+// spNodeAfforest computes Π in one pass over the triangles of the
+// degree-oriented view: a triangle k-connects exactly its edges of minimum
+// trussness (Definition 8), so those are united in a lock-free union-find.
+// It hooks the larger root under the smaller, so roots end as the minimum
+// member edge ID, as in every other variant. Cancellation is checked at
+// every chunk claim and scheduler barrier.
+func spNodeAfforest(ctx context.Context, og *graph.Oriented, tau []int32, threads int, tr *obs.Trace) ([]int32, error) {
+	cuf := ds.NewConcurrentUnionFind(len(tau))
+	_, err := og.ForEachTriangle(ctx, tr, "SpNode", threads, func(_ int, e, e1, e2 int32) {
+		k, k1, k2 := tau[e], tau[e1], tau[e2]
+		kmin := min(k, k1, k2)
+		switch {
+		case k == kmin:
+			if k1 == kmin {
+				cuf.Union(e, e1)
 			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := compressAll(ctx, cuf, threads); err != nil {
-			return nil, err
-		}
-	}
-	// Component approximation: sample to find the dominant component.
-	dominant := sampleDominant(cuf, tau, m)
-	// Finalization: exhaustively link everything outside the dominant
-	// component, skipping the (typically large) fraction already settled.
-	err := concur.ForRangeDynamic(ctx, tr, "SpNode", int(m), threads, 512, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := int32(i)
-			k := tau[e]
-			if k < MinK {
-				continue
+			if k2 == kmin {
+				cuf.Union(e, e2)
 			}
-			if dominant >= 0 && cuf.Find(e) == dominant {
-				continue
-			}
-			g.ForEachTriangleOf(e, func(w, e1, e2 int32) bool {
-				if tau[e1] == k && tau[e2] >= k {
-					cuf.Union(e, e1)
-				}
-				if tau[e2] == k && tau[e1] >= k {
-					cuf.Union(e, e2)
-				}
-				return true
-			})
+		case k1 == kmin && k2 == kmin:
+			cuf.Union(e1, e2)
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := compressAll(ctx, cuf, threads); err != nil {
-		return nil, err
-	}
-	pi := make([]int32, m)
-	if err := concur.For(ctx, tr, "SpNode", int(m), threads, func(i int) {
+	pi := make([]int32, len(tau))
+	if err := concur.For(ctx, tr, "SpNode", len(tau), threads, func(i int) {
 		if tau[i] < MinK {
 			pi[i] = NoSupernode
 		} else {
@@ -416,42 +356,4 @@ func spNodeAfforest(ctx context.Context, g *graph.Graph, tau []int32, threads in
 	}
 	cUnionFindRetries.Add(cuf.Retries())
 	return pi, nil
-}
-
-// compressAll path-compresses every element (parallel Find pass).
-func compressAll(ctx context.Context, cuf *ds.ConcurrentUnionFind, threads int) error {
-	return concur.For(ctx, nil, "", cuf.Len(), threads, func(i int) {
-		cuf.Find(int32(i))
-	})
-}
-
-// sampleDominant returns the most frequent component root among a fixed
-// sample of τ>=3 edges, or -1 when none qualify. The sampled total and the
-// dominant component's hit count feed the afforest sampling counters — the
-// hit ratio is the fraction of work the finalization pass gets to skip.
-func sampleDominant(cuf *ds.ConcurrentUnionFind, tau []int32, m int32) int32 {
-	if m == 0 {
-		return -1
-	}
-	counts := make(map[int32]int)
-	stride := m / afforestSampleSize
-	if stride < 1 {
-		stride = 1
-	}
-	sampled := 0
-	for e := int32(0); e < m; e += stride {
-		if tau[e] >= MinK {
-			counts[cuf.Find(e)]++
-			sampled++
-		}
-	}
-	best, bestN := int32(-1), 0
-	for r, n := range counts {
-		if n > bestN {
-			best, bestN = r, n
-		}
-	}
-	cAffSampleTotal.Add(int64(sampled))
-	cAffSampleHits.Add(int64(bestN))
-	return best
 }

@@ -63,10 +63,11 @@ func TestComputeStatsEmpty(t *testing.T) {
 	}
 }
 
-// TestAfforestDominantSkip exercises the sampling skip path: a graph whose
-// index is one giant supernode (triangle strip) plus a few small cliques.
-// The strip dominates, so the finalization pass skips most edges — the
-// result must still be exact.
+// TestAfforestDominantSkip builds a graph whose index is one dominant
+// supernode (a long triangle strip, one union chain through thousands of
+// triangles) plus a few small cliques, the shape the retired Afforest
+// sampling pass used to skip. The triangle-once union-find must still
+// produce the exact index.
 func TestAfforestDominantSkip(t *testing.T) {
 	strip := gen.TriangleStrip(5000) // ~10k τ=3 edges, one supernode
 	// Append small K5s as separate components.
@@ -91,7 +92,7 @@ func TestAfforestDominantSkip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Canonical(g) != want.Canonical(g) {
-		t.Fatal("afforest with dominant skip differs from serial")
+		t.Fatal("afforest on a dominant component differs from serial")
 	}
 	st := got.ComputeStats()
 	if st.Supernodes != 9 { // strip + 8 cliques

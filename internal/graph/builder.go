@@ -1,10 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-
-	"equitruss/internal/concur"
+	"slices"
 )
 
 // FromEdgeList builds a Graph from an arbitrary edge list. The input may
@@ -13,16 +12,17 @@ import (
 // undirected graph. Vertex IDs must be non-negative; the vertex set is
 // [0, maxID]. numVertices <= 0 infers the vertex count from the edges.
 func FromEdgeList(edges []Edge, numVertices int32) (*Graph, error) {
-	return buildCSR(edges, numVertices, concur.MaxThreads())
+	return buildCSR(edges, numVertices)
 }
 
-// FromEdgeListSerial is FromEdgeList restricted to a single thread; used by
-// tests that need deterministic single-threaded construction.
+// FromEdgeListSerial builds the same graph as FromEdgeList. Construction
+// has no parallel pass, so the two agree by construction; the name stays for
+// callers that pin single-threaded builds.
 func FromEdgeListSerial(edges []Edge, numVertices int32) (*Graph, error) {
-	return buildCSR(edges, numVertices, 1)
+	return buildCSR(edges, numVertices)
 }
 
-func buildCSR(input []Edge, numVertices int32, threads int) (*Graph, error) {
+func buildCSR(input []Edge, numVertices int32) (*Graph, error) {
 	// Canonicalize into a private copy, dropping self-loops.
 	edges := make([]Edge, 0, len(input))
 	var maxID int32 = -1
@@ -51,11 +51,9 @@ func buildCSR(input []Edge, numVertices int32, threads int) (*Graph, error) {
 	}
 
 	// Sort and deduplicate so edge IDs are canonical: sorted by (U, V).
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
+	// IDs are non-negative, so the packed words order as (U, V) pairs.
+	slices.SortFunc(edges, func(a, b Edge) int {
+		return cmp.Compare(uint64(a.U)<<32|uint64(a.V), uint64(b.U)<<32|uint64(b.V))
 	})
 	edges = dedupeSorted(edges)
 	m := int64(len(edges))
@@ -83,10 +81,10 @@ func buildCSR(input []Edge, numVertices int32, threads int) (*Graph, error) {
 		g.offsets[v+1] = running
 	}
 
-	// Fill adjacency. Because edges are sorted by (U, V), slots for each
-	// vertex's "forward" neighbors (V side when vertex is U) land in
-	// ascending order; the "backward" side needs a per-vertex sort. Use
-	// cursor fill then sort each vertex's slice with its aligned EIDs.
+	// Fill adjacency with a cursor per vertex. Edges are sorted by (U, V),
+	// so a vertex x first receives its backward neighbors U < x (edges
+	// (U, x), in ascending U) and then its forward neighbors V > x (the
+	// block of edges (x, V), in ascending V): every list comes out sorted.
 	cursor := make([]int64, n)
 	copy(cursor, g.offsets[:n])
 	for eid, e := range edges {
@@ -97,11 +95,6 @@ func buildCSR(input []Edge, numVertices int32, threads int) (*Graph, error) {
 		g.adjEID[cursor[e.V]] = int32(eid)
 		cursor[e.V]++
 	}
-	concur.For(nil, nil, "", int(n), threads, func(i int) {
-		v := int32(i)
-		lo, hi := g.offsets[v], g.offsets[v+1]
-		sortAdjWithEIDs(g.adj[lo:hi], g.adjEID[lo:hi])
-	})
 	return g, nil
 }
 
@@ -117,36 +110,6 @@ func dedupeSorted(edges []Edge) []Edge {
 		}
 	}
 	return out
-}
-
-// sortAdjWithEIDs sorts a neighbor slice ascending, permuting the aligned
-// edge-ID slice identically. Insertion sort is used below a small threshold
-// since typical per-vertex lists are short.
-func sortAdjWithEIDs(adj, eids []int32) {
-	if len(adj) < 24 {
-		for i := 1; i < len(adj); i++ {
-			a, e := adj[i], eids[i]
-			j := i - 1
-			for j >= 0 && adj[j] > a {
-				adj[j+1], eids[j+1] = adj[j], eids[j]
-				j--
-			}
-			adj[j+1], eids[j+1] = a, e
-		}
-		return
-	}
-	idx := make([]int32, len(adj))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(x, y int) bool { return adj[idx[x]] < adj[idx[y]] })
-	tmpA := make([]int32, len(adj))
-	tmpE := make([]int32, len(adj))
-	for i, p := range idx {
-		tmpA[i], tmpE[i] = adj[p], eids[p]
-	}
-	copy(adj, tmpA)
-	copy(eids, tmpE)
 }
 
 // InducedByEdges returns the subgraph of g containing exactly the edges

@@ -1,12 +1,18 @@
 package graphio
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"equitruss/internal/core"
 	"equitruss/internal/gen"
+	"equitruss/internal/graph"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
@@ -38,6 +44,93 @@ func FuzzReadEdgeList(f *testing.F) {
 			t.Fatalf("round trip changed edges: %d vs %d", g2.NumEdges(), g.NumEdges())
 		}
 	})
+}
+
+// readEdgeListOracle is the line-scanner parser ReadEdgeList replaced,
+// kept as the differential oracle for its accept/reject decisions and
+// error messages.
+func readEdgeListOracle(r io.Reader) ([]graph.Edge, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	var edges []graph.Edge
+	line := 0
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || text[0] == '#' || text[0] == '%' {
+			continue
+		}
+		fields := strings.Fields(text)
+		if len(fields) < 2 {
+			return nil, fmt.Errorf("graphio: line %d: want 'u v', got %q", line, text)
+		}
+		u, err := strconv.ParseInt(fields[0], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("graphio: line %d: bad vertex %q: %v", line, fields[0], err)
+		}
+		v, err := strconv.ParseInt(fields[1], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("graphio: line %d: bad vertex %q: %v", line, fields[1], err)
+		}
+		if u < 0 || v < 0 {
+			return nil, fmt.Errorf("graphio: line %d: negative vertex id in %q", line, text)
+		}
+		edges = append(edges, graph.Edge{U: int32(u), V: int32(v)})
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("graphio: scan: %w", err)
+	}
+	return edges, nil
+}
+
+// checkEdgeListAgainstOracle parses input with both parsers and fails
+// unless they read the same edges or reject with the same message. It
+// compares edge lists rather than graphs, so a huge vertex ID costs no
+// CSR allocation.
+func checkEdgeListAgainstOracle(t *testing.T, input string) {
+	t.Helper()
+	got, gotErr := parseEdgeList(strings.NewReader(input))
+	want, wantErr := readEdgeListOracle(strings.NewReader(input))
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("input %q: error %v, oracle %v", input, gotErr, wantErr)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("input %q: parsed %v, oracle %v", input, got, want)
+	}
+}
+
+// edgeListOracleSeeds are the inputs whose outcomes the byte scanner must
+// keep: signs, CRLF, tabs and other white space, trailing fields, comments,
+// int32 overflow on both sides, malformed numbers, and line numbering.
+var edgeListOracleSeeds = []string{
+	"0 1\n1 2\n", "# comment\n\n3 4 junk\n", "a b\n", "-1 5\n", "99999999999 1\n",
+	"0 1 2 3 4\n1\t2\n", "+5 +6\n", "-0 3\n", "0 1\r\n2 3\r\n", "\t 4\t5 \t\n",
+	"2147483647 0\n", "2147483648 0\n", "0 -2147483648\n", "0 -2147483649\n",
+	"1_0 2\n", "0x1 2\n", "+ 1\n", "- 1\n", "+-1 2\n", "1\n", "  %x\n1 2",
+	"1 2\n\n\n3\n", "1\v2\f\n", "1\u00a02\n", "1\u20002\n", "1\u00852\n",
+	"\xe2\x80 1 2\n", "1 2\xc2\n", "\r\r\n7 8", "1 2\n3 4 # tail\n5 x\n",
+	"0 1\n" + strings.Repeat("9", 40) + " 1\n", "\n\n\n0 -7\n",
+}
+
+// TestReadEdgeListMatchesOracle pins every seed outcome to the old parser.
+func TestReadEdgeListMatchesOracle(t *testing.T) {
+	for _, in := range edgeListOracleSeeds {
+		checkEdgeListAgainstOracle(t, in)
+	}
+	// A line must stay below 1 MiB, newline included, in both parsers.
+	for _, n := range []int{1<<20 - 6, 1<<20 - 5, 1<<20 - 4} {
+		checkEdgeListAgainstOracle(t, "0 1\n1 2 "+strings.Repeat("x", n)+"\n3 4\n")
+		checkEdgeListAgainstOracle(t, "0 1\n1 2 "+strings.Repeat("x", n))
+	}
+}
+
+// FuzzReadEdgeListMatchesOracle fuzzes the byte scanner against the old
+// line-scanner parser: same graphs, same errors, same line numbers.
+func FuzzReadEdgeListMatchesOracle(f *testing.F) {
+	for _, in := range edgeListOracleSeeds {
+		f.Add(in)
+	}
+	f.Fuzz(checkEdgeListAgainstOracle)
 }
 
 // FuzzReadBinaryIndex throws mutated bytes at the binary index reader: it

@@ -6,52 +6,135 @@ package graphio
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"equitruss/internal/core"
 	"equitruss/internal/graph"
 )
 
+// maxLine bounds one edge-list line, its newline included.
+const maxLine = 1 << 20
+
 // ReadEdgeList parses SNAP-style text: one "u v" pair per line, '#' or '%'
-// comment lines ignored, duplicate edges and self-loops tolerated (the CSR
-// builder removes them).
+// comment lines ignored, fields after the second ignored, duplicate edges
+// and self-loops tolerated (the CSR builder removes them). Lines split on
+// '\n'; fields split on Unicode white space, so CRLF and tabs are fine.
+// Vertex IDs are base-10 int32 values with an optional sign and must not be
+// negative. Errors name the 1-based line; a line of maxLine bytes or more
+// fails with bufio.ErrTooLong. Lines are parsed in place in the read buffer.
 func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var edges []graph.Edge
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || text[0] == '#' || text[0] == '%' {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graphio: line %d: want 'u v', got %q", line, text)
-		}
-		u, err := strconv.ParseInt(fields[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graphio: line %d: bad vertex %q: %v", line, fields[0], err)
-		}
-		v, err := strconv.ParseInt(fields[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graphio: line %d: bad vertex %q: %v", line, fields[1], err)
-		}
-		if u < 0 || v < 0 {
-			return nil, fmt.Errorf("graphio: line %d: negative vertex id in %q", line, text)
-		}
-		edges = append(edges, graph.Edge{U: int32(u), V: int32(v)})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graphio: scan: %w", err)
+	edges, err := parseEdgeList(r)
+	if err != nil {
+		return nil, err
 	}
 	return graph.FromEdgeList(edges, 0)
+}
+
+// parseEdgeList is ReadEdgeList's parser: it returns the edges as read.
+func parseEdgeList(r io.Reader) ([]graph.Edge, error) {
+	br := bufio.NewReaderSize(r, maxLine)
+	var edges []graph.Edge
+	for line := 1; ; line++ {
+		raw, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			return nil, fmt.Errorf("graphio: scan: %w", bufio.ErrTooLong)
+		}
+		if len(raw) > 0 {
+			var perr error
+			if edges, perr = appendEdge(edges, raw, line); perr != nil {
+				return nil, perr
+			}
+		}
+		if err == io.EOF {
+			return edges, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("graphio: scan: %w", err)
+		}
+	}
+}
+
+// appendEdge parses one line and appends its edge; blank and comment lines
+// append nothing.
+func appendEdge(edges []graph.Edge, raw []byte, line int) ([]graph.Edge, error) {
+	text := bytes.TrimSpace(raw)
+	if len(text) == 0 || text[0] == '#' || text[0] == '%' {
+		return edges, nil
+	}
+	f0, rest := cutField(text)
+	f1, _ := cutField(bytes.TrimLeftFunc(rest, unicode.IsSpace))
+	if len(f1) == 0 {
+		return nil, fmt.Errorf("graphio: line %d: want 'u v', got %q", line, text)
+	}
+	u, err := parseVertex(f0)
+	if err != nil {
+		return nil, fmt.Errorf("graphio: line %d: bad vertex %q: %v", line, f0, err)
+	}
+	v, err := parseVertex(f1)
+	if err != nil {
+		return nil, fmt.Errorf("graphio: line %d: bad vertex %q: %v", line, f1, err)
+	}
+	if u < 0 || v < 0 {
+		return nil, fmt.Errorf("graphio: line %d: negative vertex id in %q", line, text)
+	}
+	return append(edges, graph.Edge{U: u, V: v}), nil
+}
+
+// cutField splits b before its first white-space rune.
+func cutField(b []byte) (field, rest []byte) {
+	for i := 0; i < len(b); {
+		c := b[i]
+		if c < utf8.RuneSelf {
+			if c == ' ' || c-'\t' <= '\r'-'\t' {
+				return b[:i], b[i:]
+			}
+			i++
+			continue
+		}
+		r, w := utf8.DecodeRune(b[i:])
+		if unicode.IsSpace(r) {
+			return b[:i], b[i:]
+		}
+		i += w
+	}
+	return b, nil
+}
+
+// parseVertex parses a field exactly as strconv.ParseInt(f, 10, 32) does,
+// without allocating; a field it rejects goes to strconv for the error.
+func parseVertex(f []byte) (int32, error) {
+	d, neg := f, false
+	if len(d) > 0 && (d[0] == '+' || d[0] == '-') {
+		d, neg = d[1:], d[0] == '-'
+	}
+	limit := int64(math.MaxInt32)
+	if neg {
+		limit++
+	}
+	var v int64
+	ok := len(d) > 0
+	for _, c := range d {
+		if c < '0' || c > '9' || v > limit {
+			ok = false
+			break
+		}
+		v = v*10 + int64(c-'0')
+	}
+	if !ok || v > limit {
+		n, err := strconv.ParseInt(string(f), 10, 32)
+		return int32(n), err
+	}
+	if neg {
+		v = -v
+	}
+	return int32(v), nil
 }
 
 // ReadEdgeListFile opens and parses an edge-list file. Files ending in
