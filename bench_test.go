@@ -289,18 +289,13 @@ func BenchmarkAblationTrussSerialVsParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSupportIntersection compares the merge-only support
-// kernel against the adaptive galloping one on a skewed graph.
+// BenchmarkAblationSupportIntersection compares the merge support kernel
+// against the oriented one on a skewed graph.
 func BenchmarkAblationSupportIntersection(b *testing.B) {
 	g := benchGraph(b, "orkut-sim")
 	b.Run("merge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			triangle.Supports(g, 0)
-		}
-	})
-	b.Run("gallop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			triangle.SupportsGallopingCtx(nil, g, 0, nil)
 		}
 	})
 	b.Run("oriented", func(b *testing.B) {
@@ -343,25 +338,6 @@ func BenchmarkAblationBaselineDictionaries(b *testing.B) {
 			})
 		}
 	})
-}
-
-// BenchmarkAblationSpNodeStrategies reproduces the §3.1 design-space
-// discussion: the paper's chosen CC strategies (SV-based C-Optimal,
-// Afforest) against the rejected label-propagation and BFS designs, all
-// over identical flat storage.
-func BenchmarkAblationSpNodeStrategies(b *testing.B) {
-	g, tau := benchTau(b, "youtube-sim")
-	strategies := append(append([]core.Variant(nil), core.VariantCOptimal, core.VariantAfforest), core.AblationVariants...)
-	for _, v := range strategies {
-		b.Run(v.String(), func(b *testing.B) {
-			var spnode float64
-			for i := 0; i < b.N; i++ {
-				_, tm, _ := core.BuildCtx(nil, g, tau, v, 0, nil)
-				spnode = tm.SpNode.Seconds()
-			}
-			b.ReportMetric(spnode*1e3, "spnode-ms")
-		})
-	}
 }
 
 // BenchmarkQueryIndexedVsDirect measures the payoff of the index at query

@@ -246,7 +246,7 @@ func TestChaosLegacyAPIsImmuneToBarrierFaults(t *testing.T) {
 	faults.Set("concur.barrier", faults.Plan{Action: faults.Error, Every: 1})
 
 	for _, k := range []equitruss.SupportKernel{
-		equitruss.KernelAuto, equitruss.KernelMerge, equitruss.KernelGalloping, equitruss.KernelOriented,
+		equitruss.KernelAuto, equitruss.KernelMerge, equitruss.KernelOriented,
 	} {
 		sup := equitruss.SupportsWithKernel(g, k, 4)
 		for i := range wantSup {

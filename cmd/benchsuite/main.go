@@ -76,7 +76,7 @@ var experiments = []experiment{
 	{"fig9", "Figure 9: parallel efficiency", runFig9, false},
 	{"tab4", "Table 4: single-thread comparison incl. Original (serial)", runTab4, false},
 	{"tab5", "Table 5: index sizes and parallel speedups", runTab5, false},
-	{"support", "Support kernel sweep: merge vs gallop vs oriented", runSupport, false},
+	{"support", "Support kernel sweep: merge vs oriented", runSupport, false},
 	{"peel", "Peel kernel sweep: levelsync vs serial vs pkt", runPeel, false},
 	{"query", "Query path: hierarchy vs indexed-BFS vs DirectCommunities", runQuery, false},
 	{"update", "Live update applier: incremental repair vs full rebuild", runUpdate, false},
@@ -88,7 +88,7 @@ func main() {
 	expID := flag.String("experiment", "all", "comma-separated experiment ids (tab3, fig2, ..., support, query, rmat18) or 'all'")
 	scale := flag.Float64("scale", 0.25, "dataset size factor (1.0 = paper-surrogate default size)")
 	maxThr := flag.Int("maxthreads", concur.MaxThreads(), "top of the thread sweep")
-	kernelName := flag.String("support-kernel", "auto", "Support kernel: auto|merge|gallop|oriented")
+	kernelName := flag.String("support-kernel", "auto", "Support kernel: auto|merge|oriented")
 	peelName := flag.String("peel-kernel", "auto", "TrussDecomp kernel: auto|serial|levelsync|pkt")
 	check := flag.String("check", "", "baseline BENCH_*.json: fail if the Support stage regressed >20% vs it")
 	list := flag.Bool("list", false, "list experiments and exit")

@@ -21,9 +21,7 @@ const supportReps = 3
 // supportKernels is the sweep order. Merge first: the check mode normalizes
 // every kernel's time by the same run's merge time, so merge rows must
 // exist before ratios are formed.
-var supportKernels = []triangle.Kernel{
-	triangle.KernelMerge, triangle.KernelGalloping, triangle.KernelOriented,
-}
+var supportKernels = []triangle.Kernel{triangle.KernelMerge, triangle.KernelOriented}
 
 // runSupport times every explicit Support kernel on the four-network set
 // and records (dataset, kernel, seconds, checksum) rows into the artifact.
@@ -67,7 +65,7 @@ const (
 )
 
 // runRMAT18 builds the scale-18 RMAT graph and times the Support stage with
-// the configured -support-kernel (auto resolves per the heuristic), then
+// the configured -support-kernel (auto resolves per the Σd²/m rule), then
 // runs the truss decomposition so the artifact also witnesses the supports
 // feed a correct downstream τ. Excluded from `-experiment all`: it is the
 // committed-artifact producer, run explicitly once per kernel.

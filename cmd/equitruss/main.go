@@ -67,7 +67,7 @@ func main() {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  equitruss build -graph <path|dataset:name[:factor]> [-variant serial|baseline|coptimal|afforest] [-support-kernel auto|merge|gallop|oriented] [-peel-kernel auto|serial|levelsync|pkt] [-threads N] [-out index.bin]
+  equitruss build -graph <path|dataset:name[:factor]> [-variant serial|baseline|coptimal|afforest] [-support-kernel auto|merge|oriented] [-peel-kernel auto|serial|levelsync|pkt] [-threads N] [-out index.bin]
   equitruss query -graph <...> (-index index.bin | -variant ...) -vertex V -k K
   equitruss stats -graph <...> [-variant ...] [-support-kernel ...] [-peel-kernel ...] [-threads N]
   equitruss export -graph <...> [-what summary|graph] [-out file.dot]
@@ -121,7 +121,7 @@ func runBuildCtx(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	graphSpec := fs.String("graph", "", "edge-list path or dataset:<name>[:<factor>]")
 	variantName := fs.String("variant", "afforest", "serial|baseline|coptimal|afforest")
-	kernelName := fs.String("support-kernel", "auto", "Support kernel: auto|merge|gallop|oriented")
+	kernelName := fs.String("support-kernel", "auto", "Support kernel: auto|merge|oriented")
 	peelName := fs.String("peel-kernel", "auto", "TrussDecomp kernel: auto|serial|levelsync|pkt")
 	threads := fs.Int("threads", 0, "threads (0 = all cores)")
 	out := fs.String("out", "", "write binary index to this path")
@@ -240,7 +240,7 @@ func runStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	graphSpec := fs.String("graph", "", "edge-list path or dataset:<name>[:<factor>]")
 	variantName := fs.String("variant", "afforest", "variant")
-	kernelName := fs.String("support-kernel", "auto", "Support kernel: auto|merge|gallop|oriented")
+	kernelName := fs.String("support-kernel", "auto", "Support kernel: auto|merge|oriented")
 	peelName := fs.String("peel-kernel", "auto", "TrussDecomp kernel: auto|serial|levelsync|pkt")
 	threads := fs.Int("threads", 0, "threads (0 = all cores)")
 	jsonOut := fs.Bool("json", false, "emit one machine-readable JSON document instead of text")

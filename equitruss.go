@@ -72,23 +72,22 @@ const (
 )
 
 // SupportKernel selects the Support-stage (per-edge triangle counting)
-// implementation. All kernels produce bit-identical supports; they differ
-// only in how much intersection work skewed degree distributions cost.
+// implementation. Both kernels produce bit-identical supports; they differ
+// in intersection work and allocation.
 type SupportKernel = triangle.Kernel
 
 // The Support kernels. The zero value KernelAuto — the default — picks per
-// graph: oriented for large skewed graphs, galloping for moderately skewed
-// ones, merge otherwise (see docs/ALGORITHMS.md, "Support kernel
+// graph: oriented once merge's mean intersection length per edge (Σd²/m)
+// reaches 20, merge below (see docs/ALGORITHMS.md, "Support kernel
 // selection").
 const (
-	KernelAuto      = triangle.KernelAuto      // per-graph skew/size heuristic
-	KernelMerge     = triangle.KernelMerge     // per-edge sorted-merge intersection
-	KernelGalloping = triangle.KernelGalloping // adaptive binary-probing intersection
-	KernelOriented  = triangle.KernelOriented  // degree-oriented compact-forward (O(|E|^1.5))
+	KernelAuto     = triangle.KernelAuto     // per-graph Σd²/m rule
+	KernelMerge    = triangle.KernelMerge    // per-edge sorted-merge intersection
+	KernelOriented = triangle.KernelOriented // degree-oriented compact-forward (O(|E|^1.5))
 )
 
 // ParseSupportKernel parses a -support-kernel flag value
-// (auto|merge|gallop|oriented).
+// (auto|merge|oriented).
 func ParseSupportKernel(s string) (SupportKernel, error) { return triangle.ParseKernel(s) }
 
 // PeelKernel selects the TrussDecomp-stage (k-truss peeling) implementation.
@@ -133,19 +132,17 @@ type Options struct {
 	// Threads caps the parallelism; <= 0 uses all cores. Ignored by the
 	// Serial variant.
 	Threads int
-	// SerialTruss forces the sequential peeling decomposition even for
-	// parallel variants (the parallel peeling is the default for them).
-	SerialTruss bool
 	// SupportKernel selects the Support-stage kernel. The zero value is
-	// KernelAuto: oriented compact-forward on large skewed graphs,
-	// galloping on moderately skewed ones, plain merge otherwise. All
-	// kernels produce bit-identical supports.
+	// KernelAuto: oriented compact-forward once merge's mean intersection
+	// length per edge reaches 20, plain merge below. Both kernels produce
+	// bit-identical supports.
 	SupportKernel SupportKernel
 	// PeelKernel selects the TrussDecomp-stage kernel. The zero value is
 	// PeelAuto: serial for small graphs, scan-free pkt when the
 	// level-synchronous kernel's per-level rescans would dominate,
 	// levelsync otherwise. All kernels produce bit-identical trussness.
-	// The Serial variant and SerialTruss force the serial kernel.
+	// The Serial variant forces the serial kernel; PeelSerial selects it
+	// for the parallel variants.
 	PeelKernel PeelKernel
 	// Tracer, when non-nil, records one pipeline span per kernel and
 	// per-thread spans inside every parallel kernel. Nil disables tracing
@@ -352,7 +349,7 @@ func buildSummary(g *Graph, opt Options) (*SummaryGraph, Timings, error) {
 	span = tr.Start("TrussDecomp")
 	start = time.Now()
 	peel := opt.PeelKernel
-	if opt.Variant == Serial || opt.SerialTruss {
+	if opt.Variant == Serial {
 		peel = truss.PeelSerial
 	}
 	tau, _, err := truss.DecomposeKernelCtx(ctx, g, sup, peel, threads, tr)

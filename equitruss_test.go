@@ -77,12 +77,12 @@ func TestSerialTrussOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := equitruss.BuildSummary(g, equitruss.Options{Variant: equitruss.COptimal, Threads: 2, SerialTruss: true})
+	b, _, err := equitruss.BuildSummary(g, equitruss.Options{Variant: equitruss.COptimal, Threads: 2, PeelKernel: equitruss.PeelSerial})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Canonical(g) != b.Canonical(g) {
-		t.Fatal("SerialTruss changed the result")
+		t.Fatal("sequential peeling under a parallel variant changed the result")
 	}
 }
 

@@ -72,24 +72,6 @@ func TestMaxInt32(t *testing.T) {
 	}
 }
 
-func TestCASMinMax(t *testing.T) {
-	v := int32(10)
-	if !CASMinInt32(&v, 5) || v != 5 {
-		t.Fatalf("CASMin failed: v=%d", v)
-	}
-	if CASMinInt32(&v, 7) {
-		t.Fatal("CASMin lowered to a larger value")
-	}
-}
-
-func TestCASMinConcurrent(t *testing.T) {
-	v := int32(1 << 30)
-	For(nil, nil, "", 1000, 8, func(i int) { CASMinInt32(&v, int32(i)) })
-	if v != 0 {
-		t.Fatalf("concurrent CASMin = %d, want 0", v)
-	}
-}
-
 func TestClampThreads(t *testing.T) {
 	if got := clampThreads(0, 100); got != MaxThreads() {
 		t.Fatalf("clampThreads(0) = %d, want %d", got, MaxThreads())

@@ -24,12 +24,6 @@ const (
 	// VariantAfforest is the Afforest-style union-find construction, run
 	// as one pass over the triangles of the degree-oriented view.
 	VariantAfforest
-	// VariantLabelProp builds supernodes by min-label propagation — one of
-	// the two CC designs the paper rejects in §3.1; kept as an ablation.
-	VariantLabelProp
-	// VariantBFS builds supernodes by repeated parallel BFS — the other
-	// rejected design of §3.1; kept as an ablation.
-	VariantBFS
 )
 
 // String names the variant as the paper does.
@@ -43,10 +37,6 @@ func (v Variant) String() string {
 		return "C-Optimal"
 	case VariantAfforest:
 		return "Afforest"
-	case VariantLabelProp:
-		return "LabelProp"
-	case VariantBFS:
-		return "BFS"
 	default:
 		return fmt.Sprintf("Variant(%d)", int(v))
 	}
@@ -58,10 +48,6 @@ var Variants = []Variant{VariantSerial, VariantBaseline, VariantCOptimal, Varian
 // ParallelVariants lists the three multi-threaded implementations from the
 // paper's Table 2.
 var ParallelVariants = []Variant{VariantBaseline, VariantCOptimal, VariantAfforest}
-
-// AblationVariants lists the §3.1 rejected CC designs, implemented for the
-// SpNode strategy ablation. They produce the identical index, slower.
-var AblationVariants = []Variant{VariantLabelProp, VariantBFS}
 
 // BuildCtx constructs the EquiTruss index from a graph and its per-edge
 // trussness, using the selected variant and thread count (<= 0 for all
@@ -107,9 +93,9 @@ func BuildCtx(ctx context.Context, g *graph.Graph, tau []int32, variant Variant,
 	case VariantCOptimal:
 		phi, _ = phiGroups(g, tau, threads)
 		og, err = graph.Orient(ctx, g, threads, tr, "Init")
-	case VariantAfforest, VariantLabelProp, VariantBFS:
-		// These strategies need no Φ ordering: cross-k hooks are
-		// impossible, so all trussness groups converge in the same passes.
+	case VariantAfforest:
+		// Afforest needs no Φ ordering: cross-k hooks are impossible, so
+		// all trussness groups converge in the same pass.
 		og, err = graph.Orient(ctx, g, threads, tr, "Init")
 	default:
 		panic("core: unknown variant " + variant.String())
@@ -134,10 +120,6 @@ func BuildCtx(ctx context.Context, g *graph.Graph, tau []int32, variant Variant,
 		pi, err = spNodeCOptimal(ctx, g, tau, phi, threads, tr)
 	case VariantAfforest:
 		pi, err = spNodeAfforest(ctx, og, tau, threads, tr)
-	case VariantLabelProp:
-		pi, err = spNodeLabelProp(ctx, g, tau, threads, tr)
-	case VariantBFS:
-		pi, err = spNodeBFS(ctx, g, tau, threads, tr)
 	}
 	tm.SpNode = time.Since(start)
 	span.End()

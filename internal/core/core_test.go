@@ -41,7 +41,7 @@ func TestVariantEquivalenceRandom(t *testing.T) {
 			return false
 		}
 		wantCanon := want.Canonical(g)
-		for _, variant := range append(append([]core.Variant(nil), core.ParallelVariants...), core.AblationVariants...) {
+		for _, variant := range core.ParallelVariants {
 			for _, threads := range []int{1, 2, 4} {
 				got, _, _ := core.BuildCtx(nil, g, tau, variant, threads, nil)
 				if err := got.Validate(g); err != nil {
@@ -81,7 +81,7 @@ func TestVariantEquivalenceStructured(t *testing.T) {
 			t.Fatalf("%s: serial invalid: %v", name, err)
 		}
 		wantCanon := want.Canonical(g)
-		for _, variant := range append(append([]core.Variant(nil), core.ParallelVariants...), core.AblationVariants...) {
+		for _, variant := range core.ParallelVariants {
 			got, _, _ := core.BuildCtx(nil, g, tau, variant, 2, nil)
 			if err := got.Validate(g); err != nil {
 				t.Fatalf("%s/%s: invalid: %v", name, variant, err)
@@ -296,9 +296,6 @@ func TestVariantString(t *testing.T) {
 	}
 	if core.Variant(99).String() != "Variant(99)" {
 		t.Error("unknown variant string")
-	}
-	if core.VariantLabelProp.String() != "LabelProp" || core.VariantBFS.String() != "BFS" {
-		t.Error("ablation variant names")
 	}
 }
 

@@ -62,13 +62,13 @@ type spEdgeWorker struct {
 	out    []uint64
 }
 
-// spEdgeFlat is Algorithm 3 over the flat τ/Π arrays (C-Optimal, Afforest
-// and the ablation variants), visiting each triangle once through the
-// degree-oriented view: a triangle links the supernode of its minimum-
-// trussness edges to the supernode of each strictly higher edge. Each
-// thread appends to its own subset (ln. 1, 10, 12), avoiding races by
-// construction, after its duplicate filter. Workers poll ctx at every chunk
-// claim; a canceled call returns ctx.Err() and no subsets.
+// spEdgeFlat is Algorithm 3 over the flat τ/Π arrays (C-Optimal and
+// Afforest), visiting each triangle once through the degree-oriented view:
+// a triangle links the supernode of its minimum-trussness edges to the
+// supernode of each strictly higher edge. Each thread appends to its own
+// subset (ln. 1, 10, 12), avoiding races by construction, after its
+// duplicate filter. Workers poll ctx at every chunk claim; a canceled call
+// returns ctx.Err() and no subsets.
 func spEdgeFlat(ctx context.Context, og *graph.Oriented, tau, pi []int32, threads int, tr *obs.Trace) ([][]uint64, error) {
 	if threads <= 0 {
 		threads = concur.MaxThreads()

@@ -38,9 +38,6 @@ func (s *Stamps) Visit(i int32) bool {
 	return true
 }
 
-// Visited reports whether i has been visited in the current epoch.
-func (s *Stamps) Visited(i int32) bool { return s.mark[i] == s.epoch }
-
 // Grow extends the ID space to at least n, keeping current marks.
 func (s *Stamps) Grow(n int) {
 	if n <= len(s.mark) {

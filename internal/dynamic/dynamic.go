@@ -399,13 +399,6 @@ func (d Delta) Size() int {
 // Empty reports whether the delta names no edges at all.
 func (d Delta) Empty() bool { return d.Size() == 0 }
 
-// Pack returns the canonical packed key for an edge, the key space Delta
-// maps are indexed by.
-func Pack(u, v int32) uint64 { return pack(u, v) }
-
-// Unpack splits a packed key into its (low, high) endpoints.
-func Unpack(p uint64) (u, v int32) { return unpack(p) }
-
 // TrackDeltas enables (or disables) delta accumulation. Disabled graphs pay
 // nothing per update; enabling starts an empty window. The live applier
 // enables tracking once at startup — recovery replay runs untracked.

@@ -11,18 +11,7 @@ import (
 // canonicalizes, deduplicates, and drops self-loops, producing a simple
 // undirected graph. Vertex IDs must be non-negative; the vertex set is
 // [0, maxID]. numVertices <= 0 infers the vertex count from the edges.
-func FromEdgeList(edges []Edge, numVertices int32) (*Graph, error) {
-	return buildCSR(edges, numVertices)
-}
-
-// FromEdgeListSerial builds the same graph as FromEdgeList. Construction
-// has no parallel pass, so the two agree by construction; the name stays for
-// callers that pin single-threaded builds.
-func FromEdgeListSerial(edges []Edge, numVertices int32) (*Graph, error) {
-	return buildCSR(edges, numVertices)
-}
-
-func buildCSR(input []Edge, numVertices int32) (*Graph, error) {
+func FromEdgeList(input []Edge, numVertices int32) (*Graph, error) {
 	// Canonicalize into a private copy, dropping self-loops.
 	edges := make([]Edge, 0, len(input))
 	var maxID int32 = -1

@@ -216,33 +216,6 @@ func TestTriangleEnumerationMatchesBrute(t *testing.T) {
 	}
 }
 
-func TestSerialParallelBuildIdentical(t *testing.T) {
-	rnd := rand.New(rand.NewSource(3))
-	var in []Edge
-	for i := 0; i < 5000; i++ {
-		in = append(in, Edge{int32(rnd.Intn(300)), int32(rnd.Intn(300))})
-	}
-	gp := mustGraph(t, in, 300)
-	gs, err := FromEdgeListSerial(in, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gp.NumEdges() != gs.NumEdges() {
-		t.Fatalf("edge counts differ: %d vs %d", gp.NumEdges(), gs.NumEdges())
-	}
-	for v := int32(0); v < 300; v++ {
-		a, b := gp.Neighbors(v), gs.Neighbors(v)
-		if len(a) != len(b) {
-			t.Fatalf("vertex %d degree differs", v)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("vertex %d adjacency differs", v)
-			}
-		}
-	}
-}
-
 func TestInducedByEdges(t *testing.T) {
 	g := mustGraph(t, []Edge{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}}, 0)
 	sub, err := g.InducedByEdges(func(eid int32) bool {

@@ -28,10 +28,13 @@ func testSummaryGraph(t testing.TB) *core.SummaryGraph {
 	return sg
 }
 
+// legacyV1 is the version field of the retired checksum-less index layout.
+const legacyV1 = uint32(1)
+
 // writeBinaryIndexV1 emits the legacy checksum-less v1 index layout, which
-// the current writer no longer produces but the reader must keep accepting.
+// the reader must reject: it carries no checksums to verify.
 func writeBinaryIndexV1(w io.Writer, sg *core.SummaryGraph) error {
-	for _, h := range []uint32{indexMagic, formatV1} {
+	for _, h := range []uint32{indexMagic, legacyV1} {
 		if err := binary.Write(w, binary.LittleEndian, h); err != nil {
 			return err
 		}
@@ -77,18 +80,24 @@ func TestIndexV2AnyByteFlipDetected(t *testing.T) {
 	}
 }
 
-// TestGraphV2AnyByteFlipDetected mirrors the index criterion for graphs.
+// TestGraphV2AnyByteFlipDetected mirrors the index criterion for graphs,
+// on the one v2-framed stream that carries a graph: the live snapshot.
+// Every byte is flipped, not a sample.
 func TestGraphV2AnyByteFlipDetected(t *testing.T) {
 	g := gen.Clique(6)
+	tau := make([]int32, g.NumEdges())
+	for i := range tau {
+		tau[i] = 6
+	}
 	var buf bytes.Buffer
-	if err := WriteBinaryGraph(&buf, g); err != nil {
+	if err := WriteSnapshot(&buf, &Snapshot{G: g, Tau: tau, Seq: 3}); err != nil {
 		t.Fatal(err)
 	}
 	blob := buf.Bytes()
 	for i := range blob {
 		mutated := bytes.Clone(blob)
 		mutated[i] ^= 0xFF
-		if _, err := ReadBinaryGraph(bytes.NewReader(mutated)); err == nil {
+		if _, err := ReadSnapshot(bytes.NewReader(mutated)); err == nil {
 			t.Fatalf("flip of byte %d/%d accepted", i, len(blob))
 		}
 	}
@@ -136,26 +145,25 @@ func TestChecksumErrorNamesSection(t *testing.T) {
 	}
 }
 
-// TestIndexV1StillReadable locks in backward compatibility: a v1 stream
-// (no checksums) must decode to the identical index and bump the
-// deprecation counter.
-func TestIndexV1StillReadable(t *testing.T) {
+// TestIndexV1Rejected: a well-formed legacy v1 stream skips every
+// checksum, so the reader fails closed on it, from a stream and from a
+// file, naming the version.
+func TestIndexV1Rejected(t *testing.T) {
 	sg := testSummaryGraph(t)
 	var buf bytes.Buffer
 	if err := writeBinaryIndexV1(&buf, sg); err != nil {
 		t.Fatal(err)
 	}
-	before := cV1Reads.Value()
-	sg2, err := ReadBinaryIndex(&buf)
-	if err != nil {
-		t.Fatalf("v1 index rejected: %v", err)
+	const want = "unsupported index format version 1"
+	if _, err := ReadBinaryIndex(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("v1 stream: error %v, want %q", err, want)
 	}
-	if cV1Reads.Value() != before+1 {
-		t.Fatal("v1 read did not bump graphio_v1_reads")
+	path := filepath.Join(t.TempDir(), "v1.idx")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	g := gen.PaperFigure3()
-	if sg.Canonical(g) != sg2.Canonical(g) {
-		t.Fatal("v1 decode differs from original index")
+	if _, err := ReadBinaryIndexFile(path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("v1 file: error %v, want %q", err, want)
 	}
 }
 
@@ -228,16 +236,15 @@ func TestAtomicWritePreservesOldFileOnFailure(t *testing.T) {
 }
 
 // TestGraphioReadFaultInjection checks the read-side chaos hook surfaces
-// ErrInjected through both readers.
+// ErrInjected through both the index and the snapshot reader.
 func TestGraphioReadFaultInjection(t *testing.T) {
 	sg := testSummaryGraph(t)
 	var ibuf bytes.Buffer
 	if err := WriteBinaryIndex(&ibuf, sg); err != nil {
 		t.Fatal(err)
 	}
-	g := gen.Clique(4)
-	var gbuf bytes.Buffer
-	if err := WriteBinaryGraph(&gbuf, g); err != nil {
+	var sbuf bytes.Buffer
+	if err := WriteSnapshot(&sbuf, testSnapshot(t)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -247,40 +254,8 @@ func TestGraphioReadFaultInjection(t *testing.T) {
 	if _, err := ReadBinaryIndex(bytes.NewReader(ibuf.Bytes())); !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("index read err = %v, want injected fault", err)
 	}
-	if _, err := ReadBinaryGraph(bytes.NewReader(gbuf.Bytes())); !errors.Is(err, faults.ErrInjected) {
-		t.Fatalf("graph read err = %v, want injected fault", err)
-	}
-}
-
-// TestBinaryGraphV1StillReadable mirrors the index compat test for graphs.
-func TestBinaryGraphV1StillReadable(t *testing.T) {
-	g := gen.Clique(5)
-	var buf bytes.Buffer
-	for _, h := range []uint32{graphMagic, formatV1} {
-		if err := binary.Write(&buf, binary.LittleEndian, h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := binary.Write(&buf, binary.LittleEndian, int64(g.NumVertices())); err != nil {
-		t.Fatal(err)
-	}
-	if err := binary.Write(&buf, binary.LittleEndian, g.NumEdges()); err != nil {
-		t.Fatal(err)
-	}
-	if err := binary.Write(&buf, binary.LittleEndian, g.Edges()); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinaryGraph(&buf)
-	if err != nil {
-		t.Fatalf("v1 graph rejected: %v", err)
-	}
-	if g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("edges: %d vs %d", g2.NumEdges(), g.NumEdges())
-	}
-	for e := int32(0); e < int32(g.NumEdges()); e++ {
-		if g.Edge(e) != g2.Edge(e) {
-			t.Fatalf("edge %d differs", e)
-		}
+	if _, err := ReadSnapshot(bytes.NewReader(sbuf.Bytes())); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("snapshot read err = %v, want injected fault", err)
 	}
 }
 

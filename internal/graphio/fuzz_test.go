@@ -3,6 +3,7 @@ package graphio
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"slices"
@@ -142,11 +143,12 @@ func FuzzReadBinaryIndex(f *testing.F) {
 	f.Add([]byte{0x49, 0x54, 0x51, 0x45, 1, 0, 0, 0})
 	f.Add([]byte("garbage"))
 	// Seed with real serialized indexes so the mutator explores the
-	// accepted formats' neighborhoods, not just broken headers: the current
-	// v2 stream, the legacy v1 stream, and v2 streams with a flipped byte
-	// inside each checksum field (header CRC, a section CRC, the trailer's
-	// file CRC) — the paths where the reader must reject via checksum
-	// verification rather than structural validation.
+	// accepted format's neighborhood, not just broken headers: the current
+	// v2 stream, v2 streams with a flipped byte inside each checksum field
+	// (header CRC, a section CRC, the trailer's file CRC) — the paths where
+	// the reader must reject via checksum verification rather than
+	// structural validation — and the legacy checksum-less v1 stream, which
+	// must be rejected whole.
 	{
 		g := gen.PaperFigure3()
 		sup := triangle.Supports(g, 1)
@@ -180,6 +182,10 @@ func FuzzReadBinaryIndex(f *testing.F) {
 		sg, err := ReadBinaryIndex(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if len(data) >= 8 && binary.LittleEndian.Uint32(data) == indexMagic &&
+			binary.LittleEndian.Uint32(data[4:]) == legacyV1 {
+			t.Fatal("accepted a legacy v1 index")
 		}
 		// Accepted: every traversal a query performs must stay in bounds.
 		for s := int32(0); s < sg.NumSupernodes(); s++ {

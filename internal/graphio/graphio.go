@@ -1,7 +1,8 @@
 // Package graphio reads and writes graphs and indexes: SNAP-style
 // whitespace-separated edge-list text (the format of the paper's datasets)
-// and a compact little-endian binary format for graphs and summary graphs
-// so large inputs and built indexes can be cached between runs.
+// and checksummed little-endian binary formats for summary graphs (v2
+// stream, v3 flat/mmap) and live snapshots, so built indexes can be cached
+// between runs.
 package graphio
 
 import (
@@ -189,9 +190,7 @@ func WriteEdgeListFile(path string, g *graph.Graph) error {
 }
 
 const (
-	graphMagic = uint32(0x45515452) // "EQTR"
 	indexMagic = uint32(0x45515449) // "EQTI"
-	formatV1   = uint32(1)
 
 	// maxSaneCount bounds any size field read from an untrusted stream
 	// before it drives an allocation: vertex and edge IDs are int32, so any
@@ -218,101 +217,6 @@ func readSlice[T any](r io.Reader, n int64) ([]T, error) {
 		out = append(out, buf...)
 	}
 	return out, nil
-}
-
-// WriteBinaryGraph serializes the graph in the compact binary format
-// (current version: v2, with CRC32C section checksums and a whole-file
-// trailer — see checksum.go for the layout).
-func WriteBinaryGraph(w io.Writer, g *graph.Graph) error {
-	if err := injectWrite(); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
-	// Header section: magic, version, sizes, then the header CRC.
-	for _, h := range []uint32{graphMagic, formatV2} {
-		if err := binary.Write(cw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(cw, binary.LittleEndian, int64(g.NumVertices())); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, g.NumEdges()); err != nil {
-		return err
-	}
-	if err := cw.endSection(); err != nil {
-		return err
-	}
-	// Edge section.
-	if err := binary.Write(cw, binary.LittleEndian, g.Edges()); err != nil {
-		return err
-	}
-	if err := cw.endSection(); err != nil {
-		return err
-	}
-	if err := cw.writeTrailer(); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinaryGraph deserializes a graph written by WriteBinaryGraph. Both
-// the checksummed v2 format and the legacy v1 format are accepted; v1 skips
-// all verification and triggers a one-time deprecation warning.
-func ReadBinaryGraph(r io.Reader) (*graph.Graph, error) {
-	if err := injectRead(); err != nil {
-		return nil, err
-	}
-	cr := &crcReader{r: bufio.NewReader(r)}
-	var magic, version uint32
-	if err := binary.Read(cr, binary.LittleEndian, &magic); err != nil {
-		return nil, err
-	}
-	if magic != graphMagic {
-		return nil, fmt.Errorf("graphio: bad graph magic %#x", magic)
-	}
-	if err := binary.Read(cr, binary.LittleEndian, &version); err != nil {
-		return nil, err
-	}
-	checked := false
-	switch version {
-	case formatV1:
-		warnV1("graph")
-	case formatV2:
-		checked = true
-	default:
-		return nil, fmt.Errorf("graphio: unsupported graph format version %d", version)
-	}
-	var n, m int64
-	if err := binary.Read(cr, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(cr, binary.LittleEndian, &m); err != nil {
-		return nil, err
-	}
-	if checked {
-		// Verify the header before the size fields drive any allocation.
-		if err := cr.endSection("graph header"); err != nil {
-			return nil, err
-		}
-	}
-	if n < 0 || m < 0 || n > maxSaneCount || m > maxSaneCount {
-		return nil, fmt.Errorf("graphio: corrupt header n=%d m=%d", n, m)
-	}
-	edges, err := readSlice[graph.Edge](cr, m)
-	if err != nil {
-		return nil, err
-	}
-	if checked {
-		if err := cr.endSection("graph edges"); err != nil {
-			return nil, err
-		}
-		if err := cr.checkTrailer(); err != nil {
-			return nil, err
-		}
-	}
-	return graph.FromEdgeList(edges, int32(n))
 }
 
 // indexSectionNames label the seven array sections of the index format,
@@ -369,11 +273,10 @@ func WriteBinaryIndex(w io.Writer, sg *core.SummaryGraph) error {
 	return bw.Flush()
 }
 
-// ReadBinaryIndex deserializes a summary graph written by any of the index
-// writers: the flat v3 layout, the checksummed v2 stream, and the legacy v1
-// format are auto-detected from the first eight bytes (v1 skips all
-// verification and triggers a one-time deprecation warning). For v2/v3, the
-// header checksum is verified before any size field drives an allocation
+// ReadBinaryIndex deserializes a summary graph written by either index
+// writer: the flat v3 layout and the checksummed v2 stream are
+// auto-detected from the first eight bytes, and any other version —
+// including the checksum-less legacy v1 — is rejected. The header checksum is verified before any size field drives an allocation
 // and every section checksum as its payload is decoded — any single flipped
 // byte in a stored stream is rejected with a checksum error. This is the
 // portable heap-decoding path; use MapIndexFile for the zero-copy v3 load.
@@ -383,7 +286,7 @@ func ReadBinaryIndex(r io.Reader) (*core.SummaryGraph, error) {
 	}
 	br := bufio.NewReader(r)
 	// Sniff the version without consuming: v3 has its own fixed-header
-	// decoder; v1/v2 re-read these bytes through the CRC accumulator.
+	// decoder; v2 re-reads these bytes through the CRC accumulator.
 	if head, err := br.Peek(8); err == nil &&
 		binary.LittleEndian.Uint32(head) == indexMagic &&
 		binary.LittleEndian.Uint32(head[4:]) == formatV3 {
@@ -400,23 +303,15 @@ func ReadBinaryIndex(r io.Reader) (*core.SummaryGraph, error) {
 	if err := binary.Read(cr, binary.LittleEndian, &version); err != nil {
 		return nil, err
 	}
-	checked := false
-	switch version {
-	case formatV1:
-		warnV1("index")
-	case formatV2:
-		checked = true
-	default:
+	if version != formatV2 {
 		return nil, fmt.Errorf("graphio: unsupported index format version %d", version)
 	}
 	sizes := make([]int64, 4)
 	if err := binary.Read(cr, binary.LittleEndian, sizes); err != nil {
 		return nil, err
 	}
-	if checked {
-		if err := cr.endSection("index header"); err != nil {
-			return nil, err
-		}
+	if err := cr.endSection("index header"); err != nil {
+		return nil, err
 	}
 	m, s, el, al := sizes[0], sizes[1], sizes[2], sizes[3]
 	for _, sz := range sizes {
@@ -429,9 +324,6 @@ func ReadBinaryIndex(r io.Reader) (*core.SummaryGraph, error) {
 	endSection := func() error {
 		name := indexSectionNames[section]
 		section++
-		if !checked {
-			return nil
-		}
 		return cr.endSection(name + " section")
 	}
 	var err error
@@ -477,10 +369,8 @@ func ReadBinaryIndex(r io.Reader) (*core.SummaryGraph, error) {
 	if err := endSection(); err != nil {
 		return nil, err
 	}
-	if checked {
-		if err := cr.checkTrailer(); err != nil {
-			return nil, err
-		}
+	if err := cr.checkTrailer(); err != nil {
+		return nil, err
 	}
 	// The stream decoded, but nothing above guarantees the IDs inside make
 	// sense: a corrupt or mismatched index with out-of-range member edges,

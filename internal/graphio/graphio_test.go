@@ -104,35 +104,6 @@ func TestEdgeListFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryGraphRoundTrip(t *testing.T) {
-	g := gen.PlantedPartition(5, 8, 0.7, 1.0, 78)
-	var buf bytes.Buffer
-	if err := WriteBinaryGraph(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinaryGraph(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("shape: %v vs %v", g2, g)
-	}
-	for e := int32(0); e < int32(g.NumEdges()); e++ {
-		if g.Edge(e) != g2.Edge(e) {
-			t.Fatalf("edge %d differs", e)
-		}
-	}
-}
-
-func TestBinaryGraphBadMagic(t *testing.T) {
-	if _, err := ReadBinaryGraph(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8})); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := ReadBinaryGraph(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty input accepted")
-	}
-}
-
 func TestBinaryIndexRoundTrip(t *testing.T) {
 	g := gen.PaperFigure3()
 	sup := triangle.Supports(g, 1)
@@ -159,14 +130,13 @@ func TestBinaryIndexBadInput(t *testing.T) {
 	if _, err := ReadBinaryIndex(bytes.NewReader([]byte{0, 0, 0, 0, 0, 0, 0, 0})); err == nil {
 		t.Fatal("garbage index accepted")
 	}
-	// Graph magic fed to index reader must fail.
+	// Snapshot magic fed to index reader must fail.
 	var buf bytes.Buffer
-	g := gen.Clique(3)
-	if err := WriteBinaryGraph(&buf, g); err != nil {
+	if err := WriteSnapshot(&buf, testSnapshot(t)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadBinaryIndex(&buf); err == nil {
-		t.Fatal("graph blob accepted as index")
+		t.Fatal("snapshot blob accepted as index")
 	}
 }
 

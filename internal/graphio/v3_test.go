@@ -268,40 +268,42 @@ func TestV3BoundarySizesRejected(t *testing.T) {
 // inclusive; 1<<31 must be rejected as corrupt, while a MaxInt32 field
 // must survive the size check (failing later, on the stream, instead).
 func TestV2BoundarySizesRejected(t *testing.T) {
-	mkGraphStream := func(n, m int64, corruptEdgeCRC bool) []byte {
+	mkSnapshotStream := func(n, m int64, corruptEdgeCRC bool) []byte {
 		var buf bytes.Buffer
 		cw := &crcWriter{w: &buf}
-		for _, h := range []uint32{graphMagic, formatV2} {
+		for _, h := range []uint32{snapshotMagic, formatV2} {
 			binary.Write(cw, binary.LittleEndian, h)
 		}
+		binary.Write(cw, binary.LittleEndian, uint64(1)) // seq
 		binary.Write(cw, binary.LittleEndian, n)
 		binary.Write(cw, binary.LittleEndian, m)
 		cw.endSection()
-		// Empty edge section (m = 0 on the accept side).
+		// Empty edge and tau sections (m = 0 on the accept side).
+		cw.endSection()
 		cw.endSection()
 		cw.writeTrailer()
 		raw := buf.Bytes()
 		if corruptEdgeCRC {
-			raw[len(raw)-9] ^= 0xFF // edge-section CRC sits before the 8-byte trailer
+			raw[len(raw)-13] ^= 0xFF // edge CRC, then tau CRC, then the 8-byte trailer
 		}
 		return raw
 	}
 	// n = 1<<31 (and m = 1<<31): must die on the size check.
 	for _, hdr := range [][2]int64{{1 << 31, 0}, {0, 1 << 31}, {1 << 31, 1 << 31}} {
-		_, err := ReadBinaryGraph(bytes.NewReader(mkGraphStream(hdr[0], hdr[1], false)))
-		if err == nil || !strings.Contains(err.Error(), "corrupt header") {
-			t.Fatalf("graph n=%d m=%d: error %v, want corrupt-header rejection", hdr[0], hdr[1], err)
+		_, err := ReadSnapshot(bytes.NewReader(mkSnapshotStream(hdr[0], hdr[1], false)))
+		if err == nil || !strings.Contains(err.Error(), "corrupt snapshot header") {
+			t.Fatalf("snapshot n=%d m=%d: error %v, want corrupt-header rejection", hdr[0], hdr[1], err)
 		}
 	}
 	// n = MaxInt32: must pass the size check. The stream's edge-section CRC
 	// is corrupted so the read dies there — proving the failure is past the
 	// header validation, without allocating a MaxInt32-vertex graph.
-	_, err := ReadBinaryGraph(bytes.NewReader(mkGraphStream(int64(1<<31-1), 0, true)))
+	_, err := ReadSnapshot(bytes.NewReader(mkSnapshotStream(int64(1<<31-1), 0, true)))
 	if err == nil {
 		t.Fatal("corrupt edge CRC accepted")
 	}
-	if strings.Contains(err.Error(), "corrupt header") {
-		t.Fatalf("n=MaxInt32 rejected by the size check: %v", err)
+	if !strings.Contains(err.Error(), "snapshot edges checksum mismatch") {
+		t.Fatalf("n=MaxInt32: error %v, want the edge-section checksum to fail", err)
 	}
 
 	// Index reader: any of the four size fields at 1<<31 must be corrupt.

@@ -75,10 +75,6 @@ func (m *Mapping) Bytes() []byte { return m.data }
 // Len returns the mapped length in bytes.
 func (m *Mapping) Len() int { return len(m.data) }
 
-// Mapped reports whether the data is an OS mapping (true) or the heap
-// fallback (false). Only OS mappings count toward mmap_bytes metrics.
-func (m *Mapping) Mapped() bool { return m.mapped }
-
 // Unmap releases the region. Idempotent; every view handed out from Bytes
 // (and every typed slice cast over it) is invalid afterwards. The finalizer
 // calls this automatically when the Mapping becomes unreachable.

@@ -11,7 +11,7 @@ import (
 )
 
 func TestParseKernelRoundTrip(t *testing.T) {
-	for _, k := range []Kernel{KernelAuto, KernelMerge, KernelGalloping, KernelOriented} {
+	for _, k := range []Kernel{KernelAuto, KernelMerge, KernelOriented} {
 		got, err := ParseKernel(k.String())
 		if err != nil {
 			t.Fatalf("ParseKernel(%q): %v", k.String(), err)
@@ -22,7 +22,6 @@ func TestParseKernelRoundTrip(t *testing.T) {
 	}
 	aliases := map[string]Kernel{
 		"":                KernelAuto,
-		"galloping":       KernelGalloping,
 		"forward":         KernelOriented,
 		"compact-forward": KernelOriented,
 	}
@@ -36,48 +35,48 @@ func TestParseKernelRoundTrip(t *testing.T) {
 	}
 }
 
-// hubAndCycle builds a graph with one hub adjacent to every vertex of a
-// cycle — leaves degree-skewed with a controllable edge count, used to pin
-// each arm of the auto heuristic deterministically.
-func hubAndCycle(leaves int32) *graph.Graph {
-	var in []graph.Edge
-	for v := int32(1); v <= leaves; v++ {
-		in = append(in, graph.Edge{U: 0, V: v})
-		w := v + 1
-		if w > leaves {
-			w = 1
-		}
-		if v < w {
-			in = append(in, graph.Edge{U: v, V: w})
+// TestChooseKernelArms pins the auto rule on the graph families the
+// benchmark workloads and the kernel sweep in docs/ALGORITHMS.md measured.
+// Planted-partition graphs like the churn workload's keep merge, which runs
+// within ~30% of oriented's time there at a sixth of its allocation; the
+// graphs where oriented measured 1.2× faster or more resolve to oriented. A retune that flips either
+// side fails here.
+func TestChooseKernelArms(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		want Kernel
+	}{
+		// The churn workload's live graph: dblp-family planted partition.
+		{"churn dblp-sim planted", gen.PlantedPartition(4000, 12, 0.50, 1.6, 102), KernelMerge},
+		{"dblp-sim@0.05", mustDataset(t, "dblp-sim", 0.05), KernelMerge},
+		{"amazon-sim@0.05", mustDataset(t, "amazon-sim", 0.05), KernelMerge},
+		{"clique 5", gen.Clique(5), KernelMerge},
+		// The build workload's input: orkut-family R-MAT at scale 13.
+		{"build orkut-sim rmat13", gen.RMAT(13, 10, 0.5, 0.22, 0.22, 105), KernelOriented},
+		{"youtube-sim@0.05", mustDataset(t, "youtube-sim", 0.05), KernelOriented},
+		{"flat ER, mean degree 10", gen.ErdosRenyi(10000, 50000, 3), KernelOriented},
+		{"flat R-MAT", gen.RMAT(14, 8, 0.25, 0.25, 0.25, 1), KernelOriented},
+		{"rmat12-4", gen.RMAT(12, 4, 0.57, 0.19, 0.19, 1), KernelOriented},
+	}
+	for _, tc := range cases {
+		if k := ChooseKernel(tc.g); k != tc.want {
+			t.Errorf("%s chose %v, want %v", tc.name, k, tc.want)
 		}
 	}
-	g, err := graph.FromEdgeList(in, leaves+1)
-	if err != nil {
-		panic(err)
+	empty, _ := graph.FromEdgeList(nil, 4)
+	if k := ChooseKernel(empty); k != KernelMerge {
+		t.Errorf("edgeless graph chose %v, want merge", k)
 	}
-	return g
 }
 
-func TestChooseKernelArms(t *testing.T) {
-	// Small graph: always merge, regardless of skew.
-	if k := ChooseKernel(gen.Clique(50)); k != KernelMerge {
-		t.Fatalf("small clique chose %v, want merge", k)
+func mustDataset(t *testing.T, name string, factor float64) *graph.Graph {
+	t.Helper()
+	g, err := gen.Dataset(name, factor)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Large uniform graph (skew 1): merge.
-	if k := ChooseKernel(gen.Clique(300)); k != KernelMerge {
-		t.Fatalf("large clique chose %v, want merge", k)
-	}
-	// Mid-size skewed graph (m in [2^15, 2^16)): galloping.
-	if k := ChooseKernel(hubAndCycle(20000)); k != KernelGalloping {
-		t.Fatalf("mid-size hub graph chose %v, want gallop", k)
-	}
-	// Large skewed graph: oriented.
-	if k := ChooseKernel(hubAndCycle(40000)); k != KernelOriented {
-		t.Fatalf("large hub graph chose %v, want oriented", k)
-	}
-	if k := ChooseKernel(gen.RMAT(14, 8, 0.57, 0.19, 0.19, 1)); k != KernelOriented {
-		t.Fatalf("RMAT-14 chose %v, want oriented", k)
-	}
+	return g
 }
 
 // TestKernelsAgreeOnAllDatasets is the differential gate: every explicit
@@ -92,7 +91,7 @@ func TestKernelsAgreeOnAllDatasets(t *testing.T) {
 	}
 	for name, g := range graphs {
 		want, _ := SupportsKernelCtx(nil, g, KernelMerge, 3, nil)
-		for _, k := range []Kernel{KernelGalloping, KernelOriented, KernelAuto} {
+		for _, k := range []Kernel{KernelOriented, KernelAuto} {
 			got, _ := SupportsKernelCtx(nil, g, k, 3, nil)
 			if len(got) != len(want) {
 				t.Fatalf("%s/%v: %d supports, want %d", name, k, len(got), len(want))
@@ -108,14 +107,18 @@ func TestKernelsAgreeOnAllDatasets(t *testing.T) {
 
 // TestCountInvariant: the sum of edge supports is exactly three times the
 // triangle count (each triangle credits its three edges once), for every
-// kernel.
+// kernel; the oriented kernel's triangle counter gives the count directly.
 func TestCountInvariant(t *testing.T) {
 	g := gen.RMAT(11, 8, 0.57, 0.19, 0.19, 9)
-	want := Count(g, 2)
+	before := cOrientedTriangles.Value()
+	if _, err := SupportsOrientedCtx(nil, g, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(cOrientedTriangles.Value() - before)
 	if want <= 0 {
 		t.Fatalf("RMAT-11 triangle count = %d", want)
 	}
-	for _, k := range []Kernel{KernelMerge, KernelGalloping, KernelOriented} {
+	for _, k := range []Kernel{KernelMerge, KernelOriented} {
 		var sum int64
 		sup, _ := SupportsKernelCtx(nil, g, k, 2, nil)
 		for _, s := range sup {
@@ -125,7 +128,7 @@ func TestCountInvariant(t *testing.T) {
 			t.Fatalf("%v: support sum %d not divisible by 3", k, sum)
 		}
 		if sum/3 != want {
-			t.Fatalf("%v: %d triangles via supports, Count says %d", k, sum/3, want)
+			t.Fatalf("%v: %d triangles via supports, the oriented kernel enumerated %d", k, sum/3, want)
 		}
 	}
 }
@@ -136,9 +139,6 @@ func TestSupportsCtxFormsCancel(t *testing.T) {
 	cancel()
 	if _, err := SupportsOrientedCtx(ctx, g, 2, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled SupportsOrientedCtx returned %v", err)
-	}
-	if _, err := SupportsGallopingCtx(ctx, g, 2, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled SupportsGallopingCtx returned %v", err)
 	}
 	if _, err := SupportsKernelCtx(ctx, g, KernelAuto, 2, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled SupportsKernelCtx returned %v", err)

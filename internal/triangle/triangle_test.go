@@ -73,12 +73,6 @@ func TestSupportsMatchesBrute(t *testing.T) {
 					return false
 				}
 			}
-			got, _ = SupportsGallopingCtx(nil, g, threads, nil)
-			for i := range want {
-				if got[i] != want[i] {
-					return false
-				}
-			}
 			got, _ = SupportsOrientedCtx(nil, g, threads, nil)
 			for i := range want {
 				if got[i] != want[i] {
@@ -93,9 +87,9 @@ func TestSupportsMatchesBrute(t *testing.T) {
 	}
 }
 
-func TestSupportsGallopingOnSkewedGraph(t *testing.T) {
-	// A star-plus-clique graph exercises the galloping path (hub adjacency
-	// much longer than leaf adjacency).
+// TestSupportsOnSkewedGraph: a star-plus-clique graph, whose hub adjacency
+// is much longer than its leaves', gets the same supports from both kernels.
+func TestSupportsOnSkewedGraph(t *testing.T) {
 	var in []graph.Edge
 	for v := int32(1); v < 600; v++ {
 		in = append(in, graph.Edge{U: 0, V: v})
@@ -110,29 +104,35 @@ func TestSupportsGallopingOnSkewedGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	merge := Supports(g, 2)
-	gallop, _ := SupportsGallopingCtx(nil, g, 2, nil)
 	oriented, _ := SupportsOrientedCtx(nil, g, 2, nil)
 	for i := range merge {
-		if merge[i] != gallop[i] {
-			t.Fatalf("edge %d: merge %d vs gallop %d", i, merge[i], gallop[i])
-		}
 		if merge[i] != oriented[i] {
 			t.Fatalf("edge %d: merge %d vs oriented %d", i, merge[i], oriented[i])
 		}
 	}
 }
 
+// countTriangles is the whole-graph triangle count implied by the merge
+// supports: each triangle credits its three edges once.
+func countTriangles(g *graph.Graph) int64 {
+	var total int64
+	for _, s := range Supports(g, 2) {
+		total += int64(s)
+	}
+	return total / 3
+}
+
 func TestCountKnown(t *testing.T) {
-	if got := Count(gen.Clique(5), 2); got != 10 {
+	if got := countTriangles(gen.Clique(5)); got != 10 {
 		t.Fatalf("K5 triangles = %d, want 10", got)
 	}
-	if got := Count(gen.Clique(6), 2); got != 20 {
+	if got := countTriangles(gen.Clique(6)); got != 20 {
 		t.Fatalf("K6 triangles = %d, want 20", got)
 	}
-	if got := Count(gen.Path(10), 2); got != 0 {
+	if got := countTriangles(gen.Path(10)); got != 0 {
 		t.Fatalf("path triangles = %d", got)
 	}
-	if got := Count(gen.PaperFigure3(), 1); got <= 0 {
+	if got := countTriangles(gen.PaperFigure3()); got <= 0 {
 		t.Fatalf("figure 3 triangles = %d", got)
 	}
 }
@@ -141,30 +141,6 @@ func TestSupportsEmptyGraph(t *testing.T) {
 	g, _ := graph.FromEdgeList(nil, 3)
 	if sup := Supports(g, 2); len(sup) != 0 {
 		t.Fatalf("supports on edgeless graph: %v", sup)
-	}
-	if Count(g, 2) != 0 {
-		t.Fatal("count on edgeless graph")
-	}
-}
-
-func TestGallopIntersectEdges(t *testing.T) {
-	cases := []struct {
-		a, b []int32
-		want int32
-	}{
-		{nil, []int32{1, 2, 3}, 0},
-		{[]int32{2}, []int32{1, 2, 3}, 1},
-		{[]int32{0, 5, 9}, []int32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 2},
-		{[]int32{10}, []int32{1, 2, 3}, 0},
-		{[]int32{1, 2, 3}, []int32{1, 2, 3}, 3},
-	}
-	for i, tc := range cases {
-		if got := gallopIntersect(tc.a, tc.b); got != tc.want {
-			t.Errorf("case %d: gallop = %d, want %d", i, got, tc.want)
-		}
-		if got := mergeIntersect(tc.a, tc.b); got != tc.want {
-			t.Errorf("case %d: merge = %d, want %d", i, got, tc.want)
-		}
 	}
 }
 

@@ -51,6 +51,31 @@ func TestChoosePeelKernel(t *testing.T) {
 	if k := ChoosePeelKernel(1<<16, 4, 1); k != PeelSerial {
 		t.Fatalf("flat mid-size on 1 thread chose %v, want serial", k)
 	}
+	// The benchmark workloads' graphs: pkt on the build workload's
+	// orkut-family R-MAT at any thread count; on the churn workload's
+	// dblp-family planted partition, levelsync at 2 threads (where it
+	// measured faster than pkt) and serial at 1.
+	build := gen.RMAT(13, 10, 0.5, 0.22, 0.22, 105)
+	churn := gen.PlantedPartition(4000, 12, 0.50, 1.6, 102)
+	for _, tc := range []struct {
+		name    string
+		g       *graph.Graph
+		threads int
+		want    PeelKernel
+	}{
+		{"build", build, 2, PeelPKT},
+		{"build", build, 1, PeelPKT},
+		{"churn", churn, 2, PeelLevelSync},
+		{"churn", churn, 1, PeelSerial},
+	} {
+		var maxSup int32
+		for _, s := range triangle.Supports(tc.g, 2) {
+			maxSup = max(maxSup, s)
+		}
+		if k := ChoosePeelKernel(tc.g.NumEdges(), maxSup, tc.threads); k != tc.want {
+			t.Errorf("%s graph at %d threads chose %v, want %v", tc.name, tc.threads, k, tc.want)
+		}
+	}
 }
 
 // TestPKTMatchesSerial: randomized differential equality of the scan-free

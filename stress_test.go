@@ -12,9 +12,8 @@ import (
 
 // TestStressModerateRMAT is the belt-and-braces integration run: a
 // moderately sized skewed graph through the whole pipeline with every
-// variant (including the §3.1 ablation strategies), checking exact
-// agreement of indexes, structural validity, and a sample of community
-// queries against the direct oracle.
+// variant, checking exact agreement of indexes, structural validity, and a
+// sample of community queries against the direct oracle.
 func TestStressModerateRMAT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in -short mode")
@@ -36,8 +35,7 @@ func TestStressModerateRMAT(t *testing.T) {
 		t.Fatal(err)
 	}
 	canon := want.Canonical(g)
-	variants := append(append([]core.Variant(nil), core.ParallelVariants...), core.AblationVariants...)
-	for _, v := range variants {
+	for _, v := range core.ParallelVariants {
 		got, _, _ := core.BuildCtx(nil, g, tauS, v, 0, nil)
 		if err := got.Validate(g); err != nil {
 			t.Fatalf("%s: %v", v, err)
